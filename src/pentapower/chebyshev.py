@@ -28,15 +28,7 @@ def _check_order(m: int) -> int:
 
 def chebyshev_u(m: int, x) -> complex:
     """U_m(x) with U_0 = 1, U_1 = 2x, U_{k+1} = 2x*U_k - U_{k-1}."""
-    m = _check_order(m)
-    x = _as_finite_complex(x)
-    prev = 1 + 0j
-    if m == 0:
-        return prev
-    cur = 2 * x
-    for _ in range(m - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+    return chebyshev_u_sequence(m, x)[-1]
 
 
 def chebyshev_u_sequence(m_max: int, x) -> list[complex]:

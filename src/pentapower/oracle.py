@@ -17,6 +17,7 @@ from .spectrum import MatrixSpec
 
 __all__ = [
     "VerificationReport",
+    "band_pairs",
     "build_dense",
     "mat_mul",
     "naive_power",
@@ -40,6 +41,20 @@ class VerificationReport:
     worst_index: tuple[int, int]
     passed: bool
     tolerance_used: float
+
+
+def band_pairs(seed: int = 20240811, count: int = 5) -> list[tuple[complex, complex]]:
+    """Random complex (a, b) pairs with moduli in [0.5, 2], fixed seed."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        values = []
+        for _ in range(2):
+            modulus = rng.uniform(0.5, 2.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            values.append(complex(modulus * np.exp(1j * phase)))
+        pairs.append((values[0], values[1]))
+    return pairs
 
 
 def build_dense(spec: MatrixSpec) -> np.ndarray:
@@ -102,10 +117,10 @@ def determinant(matrix: np.ndarray) -> complex:
     return det
 
 
-def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> VerificationReport:
-    """Compare the LU determinant of the order-4t matrix with a = x, b = i
-    against the closed form (i*x)**(2t).
-    """
+def _determinant_corollary(
+    t: int, x, rel_tol: float
+) -> tuple[VerificationReport, complex, complex]:
+    """The corollary report with the LU determinant and the closed form it compared."""
     t = int(t)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -115,13 +130,21 @@ def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> Verificatio
     formula_value = ipow(1j * fibonacci_poly(2, x), n // 2)
     deviation = abs(lu_value - formula_value)
     scale = max(1.0, abs(formula_value))
-    return VerificationReport(
+    report = VerificationReport(
         max_abs_deviation=deviation,
         max_rel_deviation=deviation / scale,
         worst_index=(0, 0),
         passed=deviation <= rel_tol * scale,
         tolerance_used=rel_tol,
     )
+    return report, lu_value, formula_value
+
+
+def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> VerificationReport:
+    """Compare the LU determinant of the order-4t matrix with a = x, b = i
+    against the closed form (i*x)**(2t).
+    """
+    return _determinant_corollary(t, x, rel_tol)[0]
 
 
 def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> VerificationReport:

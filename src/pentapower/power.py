@@ -1,19 +1,23 @@
 """Integer powers of the two-band matrices without matrix multiplication.
 
-Each entry of the r-th power is a short weighted sum of eigenvalue powers
-times products of two Chebyshev values, taken over one lane of the
-spectrum. Two structural facts keep the sums short:
+Positions 1, 3, ... (lane 0) and 2, 4, ... (lane 1) never mix, and each
+lane is the size-m tridiagonal Toeplitz matrix with a above its diagonal
+and b below, m = (n + 1 - lane) // 2. Its nodes are x_k = cos(k*pi/(m+1)),
+k = 1..m, its eigenvalues 2*sqrt(ab)*x_k and its weights
+w_k = 2*(1 - x_k**2)/(m+1); entry (p, q), 0-based, of its r-th power is
+sum_k w_k * (2*sqrt(ab)*x_k)**r * sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k).
 
-* the spectrum of each lane is symmetric under negation, so pairing every
-  node with its negative either doubles a term or cancels it, depending on
-  the parity of r plus the two lane positions; only one member of each
-  pair is summed and a factor {0, 2} is applied;
-* a zero eigenvalue (present whenever a lane has an odd number of pair
-  slots) contributes nothing for r >= 1 and is dropped outright, which is
-  why r = 0 is short-circuited to the identity before the formulas run.
+* The nodes are symmetric under negation and U_p(-x) = (-1)**p U_p(x), so
+  each node and its negative double or cancel by the parity of r + p + q:
+  only the first m // 2 nodes are summed, with a factor {0, 2}.
+* When m is odd the middle node is 0; its eigenvalue contributes nothing
+  for r >= 1 and is dropped, which is why r = 0 is short-circuited to the
+  identity before the formulas run.
 
-The number of summed terms is therefore at most n/4 + 1, independent of r;
-the only r-dependent work is one repeated-squaring scalar power per term.
+Every power and entry below is built by one routine over such a lane; the
+two lanes of an even order are the same matrix, computed once. At most
+n/4 + 1 terms are summed, independent of r; the only r-dependent work is
+one repeated-squaring scalar power per term.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from .spectrum import (
     MatrixSpec,
     _even_nodes,
     _int_powers,
-    _odd_nodes,
-    transform_even,
-    transform_odd,
+    _lane_size,
+    _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
+    _require_even,
+    _require_odd,
+    _transform,
 )
 
 __all__ = [
@@ -57,160 +63,83 @@ class PowerRequest:
 
 
 def _term_count_even(n: int) -> int:
-    # one term per eigenvalue pair; orders n % 4 == 2 also carry a zero
-    # eigenvalue in the middle of the node list, dropped for r >= 1
-    return n // 4 if n % 4 == 0 else (n - 2) // 4
+    # one term per node pair of a lane; an odd-size lane's zero middle node is dropped
+    return _lane_size(n, 0) // 2
 
 
 def _term_count_odd(n: int, odd_lane: bool) -> int:
-    # same pairing per lane; the lane whose node family contains 0 loses
-    # that middle term (odd lane when n % 4 == 1, even lane when n % 4 == 3)
-    if odd_lane:
-        return (n - 1) // 4 if n % 4 == 1 else (n + 1) // 4
-    return (n - 1) // 4 if n % 4 == 1 else (n - 3) // 4
+    # the same count for the lane that holds position 1 (odd_lane) or position 2
+    return _lane_size(n, 0 if odd_lane else 1) // 2
 
 
-def _even_lane_terms(n: int, derived: DerivedScalars, r: int):
-    count = _term_count_even(n)
-    nodes = _even_nodes(n)[:count]
-    weights = 4.0 * (1.0 - nodes**2) / (n + 2)
+def _lane_terms(m: int, derived: DerivedScalars, r: int):
+    """Nodes, weights and eigenvalue powers of the m // 2 summed terms of a size-m lane."""
+    nodes = _even_nodes(2 * m)[: m // 2]
+    weights = 2.0 * (1.0 - nodes**2) / (m + 1)
     powers = np.array(
         [ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex
     )
     return nodes, weights, powers
 
 
-def _odd_lane_terms(n: int, derived: DerivedScalars, r: int, odd_lane: bool):
-    count = _term_count_odd(n, odd_lane)
-    lane_nodes = _odd_nodes(n)[0::2] if odd_lane else _odd_nodes(n)[1::2]
-    nodes = lane_nodes[:count]
-    denom = n + 3 if odd_lane else n + 1
-    weights = 4.0 * (1.0 - nodes**2) / denom
-    powers = np.array(
-        [ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex
+def _lane_power(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
+    """The r-th power of a size-m lane, r >= 1."""
+    nodes, weights, powers = _lane_terms(m, derived, r)
+    # table[p, k] = U_p(nodes[k]); the reshape keeps the shape when no term is summed
+    table = np.array(
+        [chebyshev_u_sequence(m - 1, complex(x)) for x in nodes], dtype=complex
+    ).reshape(nodes.size, m).T
+    # 2 * sqrt(b/a)**(p-q) times the node sum, scaled in place rather than in m x m temporaries
+    block = np.outer(
+        _int_powers(derived.sqrt_alpha, m),
+        _int_powers(1 / derived.sqrt_alpha, m),
     )
-    return nodes, weights, powers
+    block *= 2.0
+    block *= (table * (weights * powers)) @ table.T
+    # node pairs cancel unless r + p + q is even
+    block[(np.add.outer(np.arange(m), np.arange(m)) + r) % 2 == 1] = 0
+    return block
 
 
-def _check_entry_args(spec: MatrixSpec, r: int, i: int, j: int) -> tuple[int, int, int]:
+def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     r, i, j = int(r), int(i), int(j)
     if r < 1:
         raise ValueError(f"entry formulas require r >= 1, got {r}")
     for name, idx in (("i", i), ("j", j)):
         if not 1 <= idx <= spec.n:
             raise ValueError(f"index {name}={idx} out of range 1..{spec.n}")
-    return r, i, j
-
-
-def _survives(r: int, i: int, j: int) -> bool:
-    # lane positions: (i+1)//2 works for both parities of i
-    return ((i + 1) // 2 + (j + 1) // 2 + r) % 2 == 0
+    p, q = (i - 1) // 2, (j - 1) // 2
+    # the lanes never mix, and within one the node pairs cancel unless r + p + q is even
+    if (i + j) % 2 == 1:
+        return 0j
+    if (p + q + r) % 2 == 1:
+        return 0j
+    derived = DerivedScalars.from_spec(spec)
+    m = _lane_size(spec.n, 1 - i % 2)
+    alpha_pow = ipow(derived.sqrt_alpha, p - q)
+    nodes, weights, powers = _lane_terms(m, derived, r)
+    total = 0j
+    for node, weight, eig_pow in zip(nodes, weights, powers):
+        total += (
+            eig_pow
+            * weight
+            * alpha_pow
+            * chebyshev_u(p, node)
+            * chebyshev_u(q, node)
+        )
+    return 2 * total
 
 
 def power_entry_even(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     """Entry (i, j), 1-based, of the r-th power for even order n."""
-    if spec.n % 2 != 0:
-        raise ValueError(f"matrix order must be even, got {spec.n}")
-    r, i, j = _check_entry_args(spec, r, i, j)
-    if (i + j) % 2 == 1:
-        return 0j
-    if not _survives(r, i, j):
-        return 0j
-    derived = DerivedScalars.from_spec(spec)
-    # odd positions read the Chebyshev table upward, even positions downward;
-    # the reversal is a node-symmetry identity, not a different profile
-    order_i = (i - 1) // 2 if i % 2 else (spec.n - i) // 2
-    order_j = (j - 1) // 2 if j % 2 else (spec.n - j) // 2
-    alpha_pow = ipow(derived.sqrt_alpha, (i - j) // 2)
-    nodes, weights, powers = _even_lane_terms(spec.n, derived, r)
-    total = 0j
-    for node, weight, eig_pow in zip(nodes, weights, powers):
-        total += (
-            eig_pow
-            * weight
-            * alpha_pow
-            * chebyshev_u(order_i, node)
-            * chebyshev_u(order_j, node)
-        )
-    return 2 * total
+    _require_even(spec)
+    return _power_entry(spec, r, i, j)
 
 
 def power_entry_odd(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     """Entry (i, j), 1-based, of the r-th power for odd order n."""
-    if spec.n % 2 != 1:
-        raise ValueError(f"matrix order must be odd, got {spec.n}")
-    r, i, j = _check_entry_args(spec, r, i, j)
-    if (i + j) % 2 == 1:
-        return 0j
-    if not _survives(r, i, j):
-        return 0j
-    derived = DerivedScalars.from_spec(spec)
-    odd_lane = i % 2 == 1
-    order_i = (i - 1) // 2 if odd_lane else (i - 2) // 2
-    order_j = (j - 1) // 2 if odd_lane else (j - 2) // 2
-    alpha_pow = ipow(derived.sqrt_alpha, (i - j) // 2)
-    nodes, weights, powers = _odd_lane_terms(spec.n, derived, r, odd_lane)
-    total = 0j
-    for node, weight, eig_pow in zip(nodes, weights, powers):
-        total += (
-            eig_pow
-            * weight
-            * alpha_pow
-            * chebyshev_u(order_i, node)
-            * chebyshev_u(order_j, node)
-        )
-    return 2 * total
-
-
-def _cheb_table(size: int, nodes: np.ndarray) -> np.ndarray:
-    """table[m, k] = U_m(nodes[k]) for m = 0..size-1."""
-    if nodes.size == 0:
-        return np.zeros((size, 0), dtype=complex)
-    return np.array(
-        [chebyshev_u_sequence(size - 1, complex(x)) for x in nodes], dtype=complex
-    ).T
-
-
-def _lane_block(
-    table: np.ndarray, weights: np.ndarray, powers: np.ndarray, ratio: np.ndarray, r: int
-) -> np.ndarray:
-    size = table.shape[0]
-    if table.shape[1] == 0:
-        core = np.zeros((size, size), dtype=complex)
-    else:
-        core = (table * (weights * powers)) @ table.T
-    survive = (np.add.outer(np.arange(size), np.arange(size)) + r) % 2 == 0
-    return np.where(survive, 2.0 * ratio * core, 0)
-
-
-def _assemble_even(n: int, derived: DerivedScalars, r: int) -> np.ndarray:
-    half = n // 2
-    nodes, weights, powers = _even_lane_terms(n, derived, r)
-    table = _cheb_table(half, nodes)
-    ratio = np.outer(
-        _int_powers(derived.sqrt_alpha, half),
-        _int_powers(1 / derived.sqrt_alpha, half),
-    )
-    out = np.zeros((n, n), dtype=complex)
-    out[0::2, 0::2] = _lane_block(table, weights, powers, ratio, r)
-    out[1::2, 1::2] = _lane_block(table[::-1], weights, powers, ratio, r)
-    return out
-
-
-def _assemble_odd(n: int, derived: DerivedScalars, r: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=complex)
-    for odd_lane, lane_slice, size in (
-        (True, slice(0, None, 2), (n + 1) // 2),
-        (False, slice(1, None, 2), (n - 1) // 2),
-    ):
-        nodes, weights, powers = _odd_lane_terms(n, derived, r, odd_lane)
-        table = _cheb_table(size, nodes)
-        ratio = np.outer(
-            _int_powers(derived.sqrt_alpha, size),
-            _int_powers(1 / derived.sqrt_alpha, size),
-        )
-        out[lane_slice, lane_slice] = _lane_block(table, weights, powers, ratio, r)
-    return out
+    _require_odd(spec)
+    return _power_entry(spec, r, i, j)
 
 
 def power_matrix(req: PowerRequest) -> np.ndarray:
@@ -224,15 +153,17 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
     derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
-    if spec.is_even:
-        return _assemble_even(spec.n, derived, req.r)
-    return _assemble_odd(spec.n, derived, req.r)
+    out = np.zeros((spec.n, spec.n), dtype=complex)
+    for lane in (0, 1):
+        if lane == 1 and spec.is_even:
+            out[1::2, 1::2] = out[0::2, 0::2]  # both lanes of an even order are the same matrix
+        else:
+            out[lane::2, lane::2] = _lane_power(_lane_size(spec.n, lane), derived, req.r)
+    return out
 
 
 def power_via_spectral(req: PowerRequest) -> np.ndarray:
     """Reference route: transform @ diag(eigenvalues**r) @ inverse_transform."""
-    spec = req.spec
-    build = transform_even if spec.is_even else transform_odd
-    decomposition = build(spec, branch_flip=req.branch_flip)
+    decomposition = _transform(req.spec, req.branch_flip)
     powered = np.array([ipow(v, req.r) for v in decomposition.eigenvalues], dtype=complex)
     return (decomposition.transform * powered[None, :]) @ decomposition.inverse_transform

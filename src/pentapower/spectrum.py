@@ -110,7 +110,8 @@ class SpectralDecomposition:
 
 
 def _even_nodes(n: int) -> np.ndarray:
-    # cos(2*k*pi/(n+2)) for k = 1..n/2; shared by both lanes of an even-order matrix
+    # cos(2*k*pi/(n+2)) for k = 1..n/2; with n = 2m these are the nodes
+    # cos(k*pi/(m+1)) of a size-m lane
     k = np.arange(1, n // 2 + 1)
     return np.cos(2.0 * k * np.pi / (n + 2))
 
@@ -176,6 +177,37 @@ def _lane_tables(nodes: np.ndarray, size: int, derived: DerivedScalars):
     return columns, inverse_rows
 
 
+def _lane_size(n: int, lane: int) -> int:
+    # lane 0 holds positions 1, 3, ...; lane 1 holds positions 2, 4, ...
+    return (n + 1 - lane) // 2
+
+
+def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
+    """Column and eigenvalue lane + 2(k-1) carry the k-th node of a size-m lane;
+    its inverse rows carry the weights 2*(1 - node**2)/(m + 1). The two lanes
+    of an even order are the same matrix and share their tables."""
+    n = spec.n
+    derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
+    transform = np.zeros((n, n), dtype=complex)
+    inverse = np.zeros((n, n), dtype=complex)
+    eigenvalues = np.empty(n, dtype=complex)
+    for lane in (0, 1):
+        m = _lane_size(n, lane)
+        if lane == 0 or not spec.is_even:
+            nodes = _even_nodes(2 * m)
+            weights = 2.0 * (1.0 - nodes**2) / (m + 1)
+            columns, inverse_rows = _lane_tables(nodes, m, derived)
+        transform[lane::2, lane::2] = columns
+        inverse[lane::2, lane::2] = weights[:, None] * inverse_rows
+        eigenvalues[lane::2] = 2.0 * derived.sqrt_ab * nodes
+    return SpectralDecomposition(
+        eigenvalues=eigenvalues,
+        transform=transform,
+        inverse_transform=inverse,
+        parity="even" if spec.is_even else "odd",
+    )
+
+
 def transform_even(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:
     """Diagonalising pair for even order.
 
@@ -184,28 +216,7 @@ def transform_even(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDe
     inverse rows carry the weights (4 - 4*node**2)/(n + 2).
     """
     _require_even(spec)
-    n = spec.n
-    half = n // 2
-    derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
-    nodes = _even_nodes(n)
-    weights = 4.0 * (1.0 - nodes**2) / (n + 2)
-    columns, inverse_rows = _lane_tables(nodes, half, derived)
-    weighted_rows = weights[:, None] * inverse_rows
-
-    transform = np.zeros((n, n), dtype=complex)
-    inverse = np.zeros((n, n), dtype=complex)
-    transform[0::2, 0::2] = columns
-    transform[1::2, 1::2] = columns
-    inverse[0::2, 0::2] = weighted_rows
-    inverse[1::2, 1::2] = weighted_rows
-
-    eigenvalues = np.repeat(2.0 * derived.sqrt_ab * nodes, 2)
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        transform=transform,
-        inverse_transform=inverse,
-        parity="even",
-    )
+    return _transform(spec, branch_flip)
 
 
 def transform_odd(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:
@@ -216,28 +227,7 @@ def transform_odd(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDec
     ones. Weights divide by n+3 on the odd lane and n+1 on the even lane.
     """
     _require_odd(spec)
-    n = spec.n
-    derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
-    nodes = _odd_nodes(n)
-
-    transform = np.zeros((n, n), dtype=complex)
-    inverse = np.zeros((n, n), dtype=complex)
-    for lane_slice, lane_nodes, size, denom in (
-        (slice(0, None, 2), nodes[0::2], (n + 1) // 2, n + 3),
-        (slice(1, None, 2), nodes[1::2], (n - 1) // 2, n + 1),
-    ):
-        weights = 4.0 * (1.0 - lane_nodes**2) / denom
-        columns, inverse_rows = _lane_tables(lane_nodes, size, derived)
-        transform[lane_slice, lane_slice] = columns
-        inverse[lane_slice, lane_slice] = weights[:, None] * inverse_rows
-
-    eigenvalues = 2.0 * derived.sqrt_ab * nodes
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        transform=transform,
-        inverse_transform=inverse,
-        parity="odd",
-    )
+    return _transform(spec, branch_flip)
 
 
 def tridiag_charpoly(order: int, spec: MatrixSpec, x) -> complex:

@@ -1,19 +1,5 @@
 """Shared fixed-seed sweep data for the test suite."""
 
-import numpy as np
+from pentapower.oracle import band_pairs
 
-SEED = 20240811
-
-
-def band_pairs(seed: int = SEED, count: int = 5) -> list[tuple[complex, complex]]:
-    """Random complex (a, b) pairs with moduli in [0.5, 2], fixed seed."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        values = []
-        for _ in range(2):
-            modulus = rng.uniform(0.5, 2.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            values.append(complex(modulus * np.exp(1j * phase)))
-        pairs.append((values[0], values[1]))
-    return pairs
+__all__ = ["band_pairs"]

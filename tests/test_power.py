@@ -198,6 +198,22 @@ class TestPowerMatrix:
                     scale = max(1.0, np.max(np.abs(plain)))
                     assert np.max(np.abs(plain - flipped)) <= 1e-10 * scale
 
+    def test_neighbouring_orders_share_a_lane(self):
+        # orders 2k-1 (lane 0), 2k (both lanes) and 2k+1 (lane 1) all have
+        # a size-k lane, which is the same tridiagonal matrix in each
+        for a, b in band_pairs():
+            for k in range(2, 9):
+                for r in sorted({1, 2, 5, k, 2 * k}):
+                    even = power_matrix(_request(2 * k, a, b, r))
+                    lane = even[0::2, 0::2]
+                    scale = np.max(np.abs(lane))
+                    for other in (
+                        even[1::2, 1::2],
+                        power_matrix(_request(2 * k - 1, a, b, r))[0::2, 0::2],
+                        power_matrix(_request(2 * k + 1, a, b, r))[1::2, 1::2],
+                    ):
+                        assert np.max(np.abs(other - lane)) <= 1e-12 * scale
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             _request(4, 1, 1, -1)
