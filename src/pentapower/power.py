@@ -2,31 +2,50 @@
 
 Positions 1, 3, ... (lane 0) and 2, 4, ... (lane 1) never mix, and each
 lane is the size-m tridiagonal Toeplitz matrix with a above its diagonal
-and b below, m = (n + 1 - lane) // 2. Its nodes are x_k = cos(k*pi/(m+1)),
-k = 1..m, its eigenvalues 2*sqrt(ab)*x_k and its weights
-w_k = 2*(1 - x_k**2)/(m+1); entry (p, q), 0-based, of its r-th power is
-sum_k w_k * (2*sqrt(ab)*x_k)**r * sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k).
+and b below, m = (n + 1 - lane) // 2. A walk of length r from p to q on
+that path takes u = (r + q - p)/2 steps up (worth a) and v = (r - q + p)/2
+down (worth b), so entry (p, q), 0-based, of the lane's r-th power is
 
-* The nodes are symmetric under negation and U_p(-x) = (-1)**p U_p(x), so
-  each node and its negative double or cancel by the parity of r + p + q:
-  only the first m // 2 nodes are summed, with a factor {0, 2}.
-* When m is odd the middle node is 0; its eigenvalue contributes nothing
-  for r >= 1 and is dropped, which is why r = 0 is short-circuited to the
-  identity before the formulas run.
+    W_r(p, q) * a**u * b**v,    W_r(p, q) = C[|q - p|] - C[p + q + 2],
 
-Every power and entry below is built by one routine over such a lane; the
-two lanes of an even order are the same matrix, computed once. At most
-n/4 + 1 terms are summed, independent of r; the only r-dependent work is
-one repeated-squaring scalar power per term.
+where the reflection principle (Feller, Vol. 1, walks between two
+absorbing barriers) gives the path count W_r through C[d], the number of
+walks from 0 to d on a cycle of 2(m + 1) vertices. power_matrix fills each
+lane from O(m) numbers, Toeplitz weights times (Toeplitz minus Hankel)
+counts, with no square root and no branch choice. C comes from:
+
+* r < m*m/8: the binomial row folded mod 2(m + 1), in float log space, O(r);
+* r >= m*m/8: the path-graph modes, (1/(m+1)) * sum_k mu_k cos(k*pi*d/(m+1))
+  with mu_k = (x_k / x_1)**r, x_k = cos(k*pi/(m+1)), k = 1..m, by one real
+  FFT (modes 0 and m + 1 cancel in W_r and are left out).
+
+The log binomials lose accuracy as r grows (<= 1e-11 up to m*m/16, 1.6e-8
+at m*m); the mode sum is accurate only once few modes dominate (0.15 of the
+scale off at m*m/64, <= 2.5e-10 at m*m/16): hence the crossover. Counts and
+weights carry a binary exponent outside the double range, so neither over-
+or underflows while their products fit it; a lane whose significant entries
+need more than one shared exponent is refused.
+
+The reference routes (power_entry_even / _odd, power_via_spectral) keep
+the paper's node sums, entry (p, q) = sum_k w_k * (2*sqrt(ab)*x_k)**r *
+sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k) with w_k = 2*(1 - x_k**2)/(m+1),
+over the first m // 2 nodes, each doubled or cancelled with its negative
+by the parity of r + p + q. Their rounding error grows like
+|b/a|**(m/2) (Reichel & Trefethen, LAA 1992), so they referee only bands
+with |a| close to |b|. An odd lane's zero middle node is dropped, which
+is why r = 0 is short-circuited to the identity before any formula runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chebyshev import chebyshev_u, chebyshev_u_sequence, ipow
+from .chebyshev import chebyshev_u, ipow
+from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benchmark's traced run looks it up on this module
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
@@ -46,6 +65,9 @@ __all__ = [
     "power_matrix",
     "power_via_spectral",
 ]
+
+# r >= m*m/8 counts walks by path modes, below by log binomials: on non-normal bands the modes err by 0.15-0.85 of scale at m*m/64 and <= 2.5e-10 at m*m/16, the log binomials by <= 1e-11 up to m*m/16
+_MODES_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -82,23 +104,123 @@ def _lane_terms(m: int, derived: DerivedScalars, r: int):
     return nodes, weights, powers
 
 
-def _lane_power(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
-    """The r-th power of a size-m lane, r >= 1."""
-    nodes, weights, powers = _lane_terms(m, derived, r)
-    # table[p, k] = U_p(nodes[k]); the reshape keeps the shape when no term is summed
-    table = np.array(
-        [chebyshev_u_sequence(m - 1, complex(x)) for x in nodes], dtype=complex
-    ).reshape(nodes.size, m).T
-    # 2 * sqrt(b/a)**(p-q) times the node sum, scaled in place rather than in m x m temporaries
-    block = np.outer(
-        _int_powers(derived.sqrt_alpha, m),
-        _int_powers(1 / derived.sqrt_alpha, m),
-    )
-    block *= 2.0
-    block *= (table * (weights * powers)) @ table.T
-    # node pairs cancel unless r + p + q is even
-    block[(np.add.outer(np.arange(m), np.arange(m)) + r) % 2 == 1] = 0
-    return block
+def _split(z: complex) -> tuple[complex, int]:
+    """(mantissa, e) with z == mantissa * 2**e and the larger part of the mantissa in [0.5, 1)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
+def _scaled_pow(z: complex, k: int) -> tuple[complex, int]:
+    """z**k as (mantissa, e) with z**k == mantissa * 2**e, by repeated squaring;
+    e is a Python int, so neither k nor the result is bounded by the double range."""
+    result, exponent = 1 + 0j, 0
+    base, base_exp = complex(z), 0
+    while k:
+        # renormalise only far from 1, so that no product below can leave the double range
+        if not 2.0**-200 < abs(base) < 2.0**200:
+            base, e = _split(base)
+            base_exp += e
+        if k & 1:
+            result *= base
+            exponent += base_exp
+            if not 2.0**-200 < abs(result) < 2.0**200:
+                result, e = _split(result)
+                exponent += e
+        k >>= 1
+        if k:
+            base *= base
+            base_exp *= 2
+    return result, exponent
+
+
+def _pow_array(base: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise base**k by repeated squaring, for any Python int k >= 0."""
+    result, base = np.ones_like(base), base.copy()
+    while k:
+        if k & 1:
+            result *= base
+        k >>= 1
+        if k:
+            base *= base
+    return result
+
+
+def _walk_counts(m: int, r: int) -> tuple[np.ndarray, int]:
+    """(C, e): C[d] * 2**e, d = 0 .. 2m+1, counts the length-r walks from 0 to d on a
+    cycle of 2(m + 1) vertices, up to terms that cancel in C[|q-p|] - C[p+q+2]."""
+    size = 2 * (m + 1)
+    if _MODES_FROM * r < m * m:
+        k = np.arange(r)
+        logs = np.concatenate(([0.0], np.cumsum(np.log((r - k) / (k + 1.0)))))
+        top = logs[r // 2] / math.log(2)
+        whole = math.floor(top)
+        row = np.exp((logs - logs[r // 2]) + (top - whole) * math.log(2))
+        return np.bincount((2 * np.arange(r + 1) - r) % size, weights=row, minlength=size), whole
+    half = np.cos(np.arange(1, m // 2 + 1) * np.pi / (m + 1))
+    nodes = np.concatenate((half, np.zeros(m % 2), -half[::-1]))
+    modes = np.zeros(m + 2)
+    modes[1 : m + 1] = _pow_array(nodes / nodes[0], r)
+    scale, e = _scaled_pow(2.0 * nodes[0], r)
+    return np.fft.irfft(modes, size) * scale.real, e
+
+
+def _diagonal_weights(m: int, a: complex, b: complex, r: int) -> tuple[np.ndarray, int]:
+    """(w, e): w[d + m - 1] * 2**e = a**u * b**v on lane diagonal d = q - p, and an
+    exact 0 where no walk of length r reaches (|d| > r or r + d odd)."""
+    reach = min(r, m - 1)
+    reach -= (r - reach) % 2
+    # from the diagonal with the most steps on the larger band, each step of 2
+    # toward the other end trades one of them for one on the smaller band
+    big, small = (a, b) if abs(b) <= abs(a) else (b, a)
+    lead_big, e_big = _scaled_pow(big, (r + reach) // 2)
+    lead_small, e_small = _scaled_pow(small, (r - reach) // 2)
+    lead, e = _split(lead_big * lead_small)
+    ramp = lead * _int_powers(small / big, reach + 1)
+    weights = np.zeros(2 * m - 1, dtype=complex)
+    weights[m - 1 - reach : m + reach : 2] = ramp[::-1] if big is a else ramp
+    return weights, e + e_big + e_small
+
+
+def _walk_lane(m: int, spec: MatrixSpec, r: int, out: np.ndarray) -> None:
+    """Write the r-th power, r >= 1, of a size-m lane into the m x m view out."""
+    if m == 1:
+        out[...] = 0  # a single vertex has no walk of length >= 1
+        return
+    counts, e_counts = _walk_counts(m, r)
+    weights, e_weights = _diagonal_weights(m, spec.a, spec.b, r)
+    diagonals = np.arange(-(m - 1), m)
+    along, sizes = counts[np.abs(diagonals)], np.abs(weights)
+    # the largest |W| on diagonal d is C[|d|] less the least C[s], s = |d|+2, |d|+4, ... <= m+1
+    # (C is symmetric about m+1, so that covers every p + q + 2 on the diagonal)
+    same = counts[r % 2 : m + 2 : 2]
+    least_beyond = np.minimum.accumulate(same[::-1])[::-1][1:]
+    reached = (np.abs(diagonals) - r % 2) // 2  # wrong-parity diagonals have weight 0
+    peak = float(np.max((same[reached] - least_beyond[reached]) * sizes))
+    exponent = e_counts + e_weights
+    if peak > 0 and math.log2(peak) + exponent >= 1024:
+        decades = (math.log2(peak) + exponent) * math.log10(2)
+        raise OverflowError(
+            f"the largest entry of A**{r} is about 1e{math.floor(decades)}, beyond the double range"
+        )
+    # below 2**-960 of the largest count, a count's Hankel partner leaves the double range;
+    # below 2**-1021, a weight loses digits: refuse where such an entry could still matter
+    support = (np.abs(diagonals) <= min(r, m)) & ((diagonals + r % 2) % 2 == 0)
+    blurred = support & ((np.abs(along) < 2.0**-960) | (sizes < 2.0**-1021))
+    bound = np.maximum(np.abs(along[blurred]), 2.0**-960) * np.maximum(sizes[blurred], 2.0**-1021)
+    if np.any(bound > peak * 2.0**-60):
+        raise OverflowError(f"the entries of A**{r} span more than one double exponent can scale")
+    # the counts and the weights each take half the exponent (both peak near 1)
+    half = max(min(exponent // 2, 2048), -2048)
+    rest = max(min(exponent - half, 2048), -2048)
+    if max(half, rest) >= 1000:
+        raise OverflowError(f"the entries of A**{r} span more than the double range")
+    weights *= math.ldexp(1.0, rest)
+    # out[p, q] = (C[|q-p|] - C[p+q+2]) * w[q-p], from strided views of the 1-D arrays
+    toeplitz = sliding_window_view(weights, m)[::-1]
+    hankel = sliding_window_view(np.ldexp(counts[2 : 2 * m + 1], half), m)
+    leading = sliding_window_view(np.ldexp(along, half) * weights, m)[::-1]
+    np.multiply(hankel, toeplitz, out=out)
+    np.subtract(leading, out, out=out)
 
 
 def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
@@ -143,22 +265,24 @@ def power_entry_odd(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
 
 
 def power_matrix(req: PowerRequest) -> np.ndarray:
-    """The full r-th power by the closed-form entry sums.
+    """The full r-th power from the walk counts of each lane.
 
-    Work is O(n^2 * terms) with terms <= n/4 + 1; the exponent enters only
-    through the per-term scalar powers, so runtime is essentially
-    independent of r.
+    Work is O(n^2) plus O(min(r, n^2)) for the counts, so runtime is
+    essentially independent of r. Raises OverflowError, before filling a
+    lane, when its largest entry exceeds the double range, or when entries
+    that matter lie too far apart for one shared exponent; entries below
+    the double range round to 0. branch_flip has no effect: no square root
+    is taken.
     """
     spec = req.spec
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
-    derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
     out = np.zeros((spec.n, spec.n), dtype=complex)
     for lane in (0, 1):
         if lane == 1 and spec.is_even:
             out[1::2, 1::2] = out[0::2, 0::2]  # both lanes of an even order are the same matrix
         else:
-            out[lane::2, lane::2] = _lane_power(_lane_size(spec.n, lane), derived, req.r)
+            _walk_lane(_lane_size(spec.n, lane), spec, req.r, out[lane::2, lane::2])
     return out
 
 

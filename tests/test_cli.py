@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentapower.cli import cli, format_complex, parse_complex
+from pentapower import MatrixSpec
+from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 
 
 @pytest.fixture()
@@ -143,6 +144,43 @@ class TestPowerCommand:
             result = runner.invoke(cli, args)
             assert result.exit_code == 3
 
+    def test_overflow_exits_three_without_nan(self, runner):
+        result = runner.invoke(cli, ["power", "--n", "8", "--r", "2000", "--a", "1", "--b", "1"])
+        assert result.exit_code == 3
+        assert "NaN" not in result.output
+        assert "RuntimeWarning" not in result.stderr
+        # the largest entry counts walks of length 2000 on a path of 4 vertices: 6.8e417
+        assert "about 1e417" in result.stderr
+
+    def test_json_refuses_nan(self):
+        spec = MatrixSpec(n=3, a=1, b=1)
+        with pytest.raises(ValueError):
+            _matrix_json(np.full((3, 3), np.nan, dtype=complex), spec, 1, "closed_form", 0)
+
+    @pytest.mark.parametrize("route", ["spectral", "oracle"])
+    def test_reference_routes_refuse_non_finite(self, runner, route):
+        result = runner.invoke(
+            cli, ["power", "--n", "8", "--r", "2000", "--a", "1", "--b", "1", "--route", route]
+        )
+        assert result.exit_code == 3
+        assert "NaN" not in result.output
+
+    def test_exponent_beyond_int64_underflows(self, runner):
+        result = runner.invoke(
+            cli, ["power", "--n", "8", "--r", "99999999999999999999", "--a", "0.5", "--b", "0.5"]
+        )
+        assert result.exit_code == 0
+        document = json.loads(result.output)
+        assert document["r"] == 99999999999999999999
+        assert np.array_equal(_rows_to_array(document), np.zeros((8, 8)))
+
+    def test_exponent_beyond_int64_overflows(self, runner):
+        result = runner.invoke(
+            cli, ["power", "--n", "8", "--r", "99999999999999999999", "--a", "1", "--b", "1"]
+        )
+        assert result.exit_code == 3
+        assert "beyond the double range" in result.stderr
+
     def test_usage_errors_exit_two(self, runner):
         for args in (
             ["power", "--n", "4", "--r", "1", "--a", "0..5"],
@@ -204,6 +242,16 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert "nonzero" in result.stderr
 
+    def test_non_normal_case_passes(self, runner):
+        result = runner.invoke(cli, ["verify", "--n", "300", "--r", "20", "--a", "1", "--b", "4"])
+        assert result.exit_code == 0
+        assert result.output.startswith("PASS")
+
+    def test_overflow_exits_three(self, runner):
+        result = runner.invoke(cli, ["verify", "--n", "8", "--r", "2000"])
+        assert result.exit_code == 3
+        assert "beyond the double range" in result.stderr
+
     def test_sweep_passes(self, runner):
         result = runner.invoke(cli, ["verify", "--sweep"])
         assert result.exit_code == 0
@@ -247,6 +295,11 @@ class TestBenchCommand:
             fields = line.split(",")
             assert int(fields[3]) > 0
             assert float(fields[4]) <= 1e-8
+
+    def test_overflow_exits_three(self, runner):
+        result = runner.invoke(cli, ["bench", "--n", "8", "--r", "2000", "--repeats", "3"])
+        assert result.exit_code == 3
+        assert "beyond the double range" in result.stderr
 
     def test_zero_order_exits_three(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "0", "--r", "1"])

@@ -12,7 +12,7 @@ from pentapower import (
     power_matrix,
     power_via_spectral,
 )
-from pentapower.power import _term_count_even, _term_count_odd
+from pentapower.power import _MODES_FROM, _term_count_even, _term_count_odd
 
 from _sweeps import band_pairs
 
@@ -243,3 +243,82 @@ class TestSpectralRoute:
                     spectral = power_via_spectral(PowerRequest(spec=spec, r=r))
                     scale = max(1.0, np.max(np.abs(closed)))
                     assert np.max(np.abs(closed - spectral)) <= 1e-8 * scale
+
+
+def _deviation(n, a, b, r):
+    """max |power_matrix - naive_power| over the oracle's largest modulus (no max(1, .) floor)."""
+    spec = MatrixSpec(n=n, a=a, b=b)
+    reference = naive_power(spec, r)
+    scale = np.max(np.abs(reference))
+    return np.max(np.abs(power_matrix(PowerRequest(spec=spec, r=r)) - reference)) / scale
+
+
+# |b/a| = 4 and 1/4, and two complex pairs with |b/a| = sqrt(2) and 1/sqrt(2)
+NON_NORMAL_BANDS = [
+    (1, 4),
+    (4, -1),
+    (np.sqrt(2) * np.exp(0.7j), 2 * np.exp(-1.9j)),
+    (2 * np.exp(2.1j), np.sqrt(2) * np.exp(0.4j)),
+]
+
+
+class TestNonNormalBands:
+    @pytest.mark.parametrize("a,b", NON_NORMAL_BANDS)
+    @pytest.mark.parametrize(
+        "n,r",
+        [(n, r) for n in (64, 128, 256) for r in (1, 3, 10, 50, n // 4, n // 2, n)] + [(512, 512)],
+    )
+    def test_sweep_matches_oracle_or_refuses(self, n, r, a, b):
+        spec = MatrixSpec(n=n, a=a, b=b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = naive_power(spec, r)
+        if not np.isfinite(reference).all():
+            with pytest.raises(OverflowError, match="beyond the double range"):
+                power_matrix(PowerRequest(spec=spec, r=r))
+            return
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(power_matrix(PowerRequest(spec=spec, r=r)) - reference)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "n,a,b,r", [(64, 1, 4, 3), (256, 1, 4, 50), (512, 2, 1 + 1j, 10), (300, 1, 4, 20)]
+    )
+    def test_spectral_sum_failures_stay_fixed(self, n, a, b, r):
+        # the sqrt(b/a)**(p-q) node sum missed these by 5e-8 up to 1e28 of the scale
+        assert _deviation(n, a, b, r) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", [(0.25, 1), (1, 0.25j)])
+    @pytest.mark.parametrize("r", [256, 510, 512, 514, 4096, 16384])
+    def test_both_sides_of_the_count_crossover(self, a, b, r):
+        # n = 128 has lanes of m = 64: r < m*m/8 = 512 folds binomials, r >= 512 sums modes
+        m = 64
+        assert (_MODES_FROM * r < m * m) == (r < 512)
+        assert _deviation(128, a, b, r) <= 1e-9
+
+
+class TestDoubleRange:
+    def test_overflow_is_refused_with_its_magnitude(self):
+        with pytest.raises(OverflowError, match=r"about 1e417, beyond the double range"):
+            power_matrix(_request(8, 1, 1, 2000))
+
+    def test_underflow_rounds_to_zero(self):
+        # criterion 8's case: (2 * 0.5 * cos(pi/33))**1e6 is far below the smallest double
+        result = power_matrix(_request(64, 0.5, 0.5, 10**6))
+        assert np.array_equal(result, np.zeros((64, 64)))
+
+    def test_exponent_beyond_int64(self):
+        assert np.array_equal(power_matrix(_request(8, 0.5, 0.5, 10**20)), np.zeros((8, 8)))
+        with pytest.raises(OverflowError):
+            power_matrix(_request(8, 1, 1, 10**20))
+
+    def test_counts_and_weights_too_spread_are_refused(self):
+        # the entries that matter pair counts 2**-1100 below the largest one with weights
+        # as far above the rest: one shared exponent cannot hold both, so no answer is given
+        with pytest.raises(OverflowError, match="span more than"):
+            power_matrix(_request(2400, 1, 0.01, 1169))
+
+    @pytest.mark.parametrize("r", [1200, 5000])
+    def test_scale_carried_outside_the_double_range(self, r):
+        # the walk counts (about 2**r) overflow a double and the weights (2**-r) underflow
+        # it, but their products stay near 1; n = 200 has lanes of m = 100, so r = 1200
+        # folds binomials (1200 < 100*100/8) and r = 5000 sums modes
+        assert _deviation(200, 0.5, 0.5j, r) <= 1e-10
