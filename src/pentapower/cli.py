@@ -3,7 +3,8 @@
 Subcommands: power, eig, verify, det, bench. JSON is the default output
 format where a document makes sense; csv and pretty are available too.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (valid flags, invalid matrix parameters).
+error (valid flags, but invalid matrix parameters, an order too large for
+memory, a power beyond doubles, or a reference sum lost to rounding).
 
 Complex values on the command line use a compact literal: ``2``, ``-3.5``,
 ``1+1i``, ``2-0.5i``, ``i``, ``-i``, ``4.0i``. No whitespace, no exponent
@@ -13,6 +14,7 @@ notation, imaginary unit spelled ``i``.
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 import sys
@@ -151,11 +153,14 @@ _ROUTES = {
 
 
 def _computed(route: str, spec: MatrixSpec, r: int) -> np.ndarray:
-    """The route's r-th power, or a domain error when a double cannot hold it."""
+    """The route's r-th power, or a domain error where memory, doubles or rounding fail it."""
+    needed, memory = 16 * spec.n**2, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise DomainError(f"order {spec.n} needs {needed} bytes, more than the {memory} in memory")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = _ROUTES[route](spec, r)
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         raise DomainError(str(exc)) from exc
     if not np.isfinite(matrix).all():
         raise DomainError(f"A**{r} has entries beyond the double range")
@@ -332,15 +337,13 @@ def bench_cmd(n_list, r_list, route_list, repeats, a, b, fmt, out):
                 raise DomainError(f"exponent must be >= 0, got {exponent}")
             reference = _computed("oracle", spec, exponent)
             for route in routes:
-                runner = _ROUTES[route]
                 timings = []
-                result = None
                 try:
                     for _ in range(repeats):
                         start = time.perf_counter_ns()
-                        result = runner(spec, exponent)
+                        result = _ROUTES[route](spec, exponent)
                         timings.append(time.perf_counter_ns() - start)
-                except OverflowError as exc:
+                except ArithmeticError as exc:
                     raise DomainError(str(exc)) from exc
                 deviation = compare(result, reference, 1e-8).max_rel_deviation
                 median_ns = int(statistics.median(timings))

@@ -31,9 +31,10 @@ __all__ = [
 class VerificationReport:
     """Elementwise deviation summary between a candidate and a reference.
 
-    max_rel_deviation is max_abs_deviation divided by max(1, scale) where
-    scale is the largest reference modulus; passed compares that quotient
-    against tolerance_used. worst_index is 0-based (row, column).
+    max_rel_deviation is max_abs_deviation divided by the largest reference
+    modulus (0 or inf for an all-zero reference, which only an exact match
+    passes); passed compares that quotient against tolerance_used.
+    worst_index is 0-based (row, column).
     """
 
     max_abs_deviation: float
@@ -45,16 +46,9 @@ class VerificationReport:
 
 def band_pairs(seed: int = 20240811, count: int = 5) -> list[tuple[complex, complex]]:
     """Random complex (a, b) pairs with moduli in [0.5, 2], fixed seed."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(count):
-        values = []
-        for _ in range(2):
-            modulus = rng.uniform(0.5, 2.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            values.append(complex(modulus * np.exp(1j * phase)))
-        pairs.append((values[0], values[1]))
-    return pairs
+    # draws modulus, phase, modulus, phase, ... in that order, pair by pair
+    draws = np.random.default_rng(seed).uniform([0.5, 0.0], [2.0, 2.0 * np.pi], (count, 2, 2))
+    return [(complex(a), complex(b)) for a, b in draws[..., 0] * np.exp(1j * draws[..., 1])]
 
 
 def build_dense(spec: MatrixSpec) -> np.ndarray:
@@ -148,7 +142,7 @@ def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> Verificatio
 
 
 def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> VerificationReport:
-    """Elementwise comparison, pass iff max deviation <= rel_tol * max(1, reference scale)."""
+    """Elementwise comparison, pass iff max deviation <= rel_tol * largest reference modulus."""
     candidate = np.asarray(candidate, dtype=complex)
     reference = np.asarray(reference, dtype=complex)
     if candidate.shape != reference.shape:
@@ -159,10 +153,10 @@ def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> Ver
     worst_flat = int(np.argmax(deviation))
     worst_index = tuple(int(v) for v in np.unravel_index(worst_flat, deviation.shape))
     max_abs = float(deviation[worst_index])
-    scale = max(1.0, float(np.max(np.abs(reference))))
+    scale = float(np.max(np.abs(reference)))
     return VerificationReport(
         max_abs_deviation=max_abs,
-        max_rel_deviation=max_abs / scale,
+        max_rel_deviation=max_abs / scale if scale else (0.0 if max_abs == 0 else np.inf),
         worst_index=worst_index,
         passed=max_abs <= rel_tol * scale,
         tolerance_used=rel_tol,

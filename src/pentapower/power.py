@@ -26,14 +26,15 @@ weights carry a binary exponent outside the double range, so neither over-
 or underflows while their products fit it; a lane whose significant entries
 need more than one shared exponent is refused.
 
-The reference routes (power_entry_even / _odd, power_via_spectral) keep
-the paper's node sums, entry (p, q) = sum_k w_k * (2*sqrt(ab)*x_k)**r *
-sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k) with w_k = 2*(1 - x_k**2)/(m+1),
-over the first m // 2 nodes, each doubled or cancelled with its negative
-by the parity of r + p + q. Their rounding error grows like
-|b/a|**(m/2) (Reichel & Trefethen, LAA 1992), so they referee only bands
-with |a| close to |b|. An odd lane's zero middle node is dropped, which
-is why r = 0 is short-circuited to the identity before any formula runs.
+The reference routes (power_entry_even / _odd, power_via_spectral) read
+one lane routine, _node_sum_lane, the paper's node sum: entry (p, q) =
+sum_k w_k * (2*sqrt(ab)*x_k)**r * sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k)
+with w_k = 2*(1 - x_k**2)/(m+1), over the first m // 2 nodes, each doubled
+or cancelled with its negative by the parity of r + p + q. Its rounding
+error grows like |b/a|**(m/2) (Reichel & Trefethen, LAA 1992): where
+m * eps times the sum of the terms' moduli exceeds 1e-8 of the lane's
+largest entry, it raises FloatingPointError. An odd lane's zero middle
+node is dropped, so r = 0 is short-circuited to the identity.
 """
 
 from __future__ import annotations
@@ -44,18 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chebyshev import chebyshev_u, ipow
+from .chebyshev import ipow
 from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benchmark's traced run looks it up on this module
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
-    _even_nodes,
+    _even_nodes,  # unused here; the benchmark's traced run looks it up on this module
     _int_powers,
     _lane_size,
+    _lane_tables,
     _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
     _require_even,
     _require_odd,
-    _transform,
 )
 
 __all__ = [
@@ -92,16 +93,6 @@ def _term_count_even(n: int) -> int:
 def _term_count_odd(n: int, odd_lane: bool) -> int:
     # the same count for the lane that holds position 1 (odd_lane) or position 2
     return _lane_size(n, 0 if odd_lane else 1) // 2
-
-
-def _lane_terms(m: int, derived: DerivedScalars, r: int):
-    """Nodes, weights and eigenvalue powers of the m // 2 summed terms of a size-m lane."""
-    nodes = _even_nodes(2 * m)[: m // 2]
-    weights = 2.0 * (1.0 - nodes**2) / (m + 1)
-    powers = np.array(
-        [ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex
-    )
-    return nodes, weights, powers
 
 
 def _split(z: complex) -> tuple[complex, int]:
@@ -223,6 +214,24 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int, out: np.ndarray) -> None:
     np.subtract(leading, out, out=out)
 
 
+def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
+    """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an
+    exact 0 where r + p + q is odd; FloatingPointError where rounding could hide it."""
+    nodes, weights, columns, inverse_rows = _lane_tables(m, m // 2, derived)
+    terms = weights * np.array([ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex)
+    lane = 2 * (columns * terms) @ inverse_rows
+    lane[np.add.outer(np.arange(m), np.arange(m)) % 2 != r % 2] = 0
+    moduli = 2 * (abs(columns) * abs(terms)) @ abs(inverse_rows)
+    bound = m * np.finfo(float).eps * float(np.max(moduli, initial=0))
+    largest = float(np.max(abs(lane), initial=0))
+    if bound > 1e-8 * largest:
+        raise FloatingPointError(
+            f"the node sum for A**{r} cannot resolve its entries: rounding bound {bound:.1e} "
+            f"against a largest entry of {largest:.1e} (|b/a| = {abs(derived.alpha):.3g})"
+        )
+    return lane
+
+
 def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     r, i, j = int(r), int(i), int(j)
     if r < 1:
@@ -230,26 +239,10 @@ def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     for name, idx in (("i", i), ("j", j)):
         if not 1 <= idx <= spec.n:
             raise ValueError(f"index {name}={idx} out of range 1..{spec.n}")
-    p, q = (i - 1) // 2, (j - 1) // 2
-    # the lanes never mix, and within one the node pairs cancel unless r + p + q is even
     if (i + j) % 2 == 1:
-        return 0j
-    if (p + q + r) % 2 == 1:
-        return 0j
-    derived = DerivedScalars.from_spec(spec)
-    m = _lane_size(spec.n, 1 - i % 2)
-    alpha_pow = ipow(derived.sqrt_alpha, p - q)
-    nodes, weights, powers = _lane_terms(m, derived, r)
-    total = 0j
-    for node, weight, eig_pow in zip(nodes, weights, powers):
-        total += (
-            eig_pow
-            * weight
-            * alpha_pow
-            * chebyshev_u(p, node)
-            * chebyshev_u(q, node)
-        )
-    return 2 * total
+        return 0j  # the lanes never mix
+    lane = _node_sum_lane(_lane_size(spec.n, 1 - i % 2), DerivedScalars.from_spec(spec), r)
+    return complex(lane[(i - 1) // 2, (j - 1) // 2])
 
 
 def power_entry_even(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
@@ -287,7 +280,12 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
 
 
 def power_via_spectral(req: PowerRequest) -> np.ndarray:
-    """Reference route: transform @ diag(eigenvalues**r) @ inverse_transform."""
-    decomposition = _transform(req.spec, req.branch_flip)
-    powered = np.array([ipow(v, req.r) for v in decomposition.eigenvalues], dtype=complex)
-    return (decomposition.transform * powered[None, :]) @ decomposition.inverse_transform
+    """Reference route: each lane from the node sum of its spectral decomposition."""
+    spec = req.spec
+    if req.r == 0:
+        return np.eye(spec.n, dtype=complex)
+    derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
+    out = np.zeros((spec.n, spec.n), dtype=complex)
+    for lane in (0, 1):
+        out[lane::2, lane::2] = _node_sum_lane(_lane_size(spec.n, lane), derived, req.r)
+    return out

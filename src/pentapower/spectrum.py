@@ -161,20 +161,21 @@ def _int_powers(base: complex, count: int) -> np.ndarray:
     return out
 
 
-def _lane_tables(nodes: np.ndarray, size: int, derived: DerivedScalars):
-    """Chebyshev value table and the scaled lane factors for one lane.
+def _lane_tables(m: int, count: int, derived: DerivedScalars):
+    """The first count (possibly 0) nodes cos(k*pi/(m+1)) of a size-m lane and their tables.
 
-    Returns (columns, inverse_rows): columns[p, k] is the transform lane,
-    inverse_rows[k, q] the inverse lane before the per-node weight.
+    Returns (nodes, weights, columns, inverse_rows): columns[p, k] is the
+    transform lane, inverse_rows[k, q] the inverse lane before the weight
+    2*(1 - node**2)/(m + 1) of node k.
     """
+    nodes = _even_nodes(2 * m)[:count]
+    weights = 2.0 * (1.0 - nodes**2) / (m + 1)
     cheb = np.array(
-        [chebyshev_u_sequence(size - 1, complex(x)) for x in nodes], dtype=complex
-    ).T
-    up = _int_powers(derived.sqrt_alpha, size)
-    down = _int_powers(1 / derived.sqrt_alpha, size)
-    columns = up[:, None] * cheb
-    inverse_rows = down[None, :] * cheb.T
-    return columns, inverse_rows
+        [chebyshev_u_sequence(m - 1, complex(x)) for x in nodes], dtype=complex
+    ).reshape(count, m).T
+    up = _int_powers(derived.sqrt_alpha, m)
+    down = _int_powers(1 / derived.sqrt_alpha, m)
+    return nodes, weights, up[:, None] * cheb, down[None, :] * cheb.T
 
 
 def _lane_size(n: int, lane: int) -> int:
@@ -194,9 +195,7 @@ def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
     for lane in (0, 1):
         m = _lane_size(n, lane)
         if lane == 0 or not spec.is_even:
-            nodes = _even_nodes(2 * m)
-            weights = 2.0 * (1.0 - nodes**2) / (m + 1)
-            columns, inverse_rows = _lane_tables(nodes, m, derived)
+            nodes, weights, columns, inverse_rows = _lane_tables(m, m, derived)
         transform[lane::2, lane::2] = columns
         inverse[lane::2, lane::2] = weights[:, None] * inverse_rows
         eigenvalues[lane::2] = 2.0 * derived.sqrt_ab * nodes

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentapower import MatrixSpec
+from pentapower import cli as cli_module
 from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 
 
@@ -181,6 +182,21 @@ class TestPowerCommand:
         assert result.exit_code == 3
         assert "beyond the double range" in result.stderr
 
+    def test_unresolvable_reference_sum_exits_three(self, runner):
+        result = runner.invoke(
+            cli, ["power", "--route", "spectral", "--n", "300", "--r", "20", "--a", "1", "--b", "4"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "rounding bound" in result.stderr
+
+    @pytest.mark.parametrize("command", ["power", "verify", "bench"])
+    def test_order_beyond_memory_exits_three(self, runner, command):
+        # 16 * 10**14 bytes: refused before any n x n array is allocated
+        result = runner.invoke(cli, [command, "--n", "10000000", "--r", "2"])
+        assert result.exit_code == 3
+        assert "1600000000000000 bytes" in result.stderr
+
     def test_usage_errors_exit_two(self, runner):
         for args in (
             ["power", "--n", "4", "--r", "1", "--a", "0..5"],
@@ -247,6 +263,15 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         assert result.output.startswith("PASS")
 
+    def test_zero_candidate_fails_a_small_reference(self, runner, monkeypatch):
+        # every entry of this reference is below 1e-8, so only a floored scale would pass zeros
+        monkeypatch.setitem(
+            cli_module._ROUTES, "closed_form", lambda spec, r: np.zeros((spec.n, spec.n), dtype=complex)
+        )
+        result = runner.invoke(cli, ["verify", "--n", "8", "--r", "20", "--a", "0.1", "--b", "0.1"])
+        assert result.exit_code == 1
+        assert result.output.startswith("FAIL")
+
     def test_overflow_exits_three(self, runner):
         result = runner.invoke(cli, ["verify", "--n", "8", "--r", "2000"])
         assert result.exit_code == 3
@@ -300,6 +325,22 @@ class TestBenchCommand:
         result = runner.invoke(cli, ["bench", "--n", "8", "--r", "2000", "--repeats", "3"])
         assert result.exit_code == 3
         assert "beyond the double range" in result.stderr
+
+    def test_unresolvable_reference_sum_exits_three(self, runner):
+        result = runner.invoke(
+            cli,
+            [
+                "bench",
+                "--n", "300",
+                "--r", "20",
+                "--a", "1",
+                "--b", "4",
+                "--route", "closed_form,spectral",
+                "--repeats", "3",
+            ],
+        )
+        assert result.exit_code == 3
+        assert "rounding bound" in result.stderr
 
     def test_zero_order_exits_three(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "0", "--r", "1"])

@@ -192,6 +192,19 @@ class TestCompare:
         assert report.worst_index == (1, 2)
         assert report.max_abs_deviation == pytest.approx(1)
 
+    def test_small_reference_is_not_floored(self):
+        # the scale is the reference's own largest modulus, not at least 1
+        assert not compare(np.zeros((3, 3)), 1e-9 * np.eye(3), 1e-8).passed
+
+    def test_zero_reference_needs_an_exact_match(self):
+        zero = np.zeros((3, 3))
+        exact = compare(zero, zero, 1e-8)
+        assert exact.passed
+        assert exact.max_rel_deviation == 0
+        off = compare(1e-300 * np.eye(3), zero, 1e-8)
+        assert not off.passed
+        assert off.max_rel_deviation == np.inf
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             compare(np.eye(3), np.eye(4), 1e-9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pentapower import (
@@ -244,6 +246,32 @@ class TestSpectralRoute:
                     scale = max(1.0, np.max(np.abs(closed)))
                     assert np.max(np.abs(closed - spectral)) <= 1e-8 * scale
 
+    def test_entries_read_the_same_lane_sum(self):
+        for n, entry in ((8, power_entry_even), (9, power_entry_odd)):
+            for a, b in band_pairs(count=2):
+                spec = MatrixSpec(n=n, a=a, b=b)
+                for r in (1, 4, 7):
+                    spectral = power_via_spectral(PowerRequest(spec=spec, r=r))
+                    for i in range(1, n + 1):
+                        for j in range(1, n + 1):
+                            assert entry(spec, r, i, j) == spectral[i - 1, j - 1]
+
+    def test_odd_walk_parity_is_exact_zero(self):
+        # entry (p, q) of a lane's r-th power needs r + p + q even: the node pairs cancel otherwise
+        for n in (6, 7, 9):
+            for a, b in band_pairs(count=2):
+                for r in (1, 2, 3, 4):
+                    result = power_via_spectral(_request(n, a, b, r))
+                    i, j = np.indices((n, n))
+                    assert np.all(result[((i + j) % 2 == 1) | ((i // 2 + j // 2 + r) % 2 == 1)] == 0)
+
+    def test_unresolvable_sum_is_refused(self):
+        # the sqrt(b/a)**(p-q) node sum missed this case by 1.2e28 of the scale
+        with pytest.raises(FloatingPointError, match=r"rounding bound .* \(\|b/a\| = 4\)"):
+            power_via_spectral(_request(300, 1, 4, 20))
+        with pytest.raises(FloatingPointError):
+            power_entry_even(MatrixSpec(n=300, a=1, b=4), 20, 1, 41)
+
 
 def _deviation(n, a, b, r):
     """max |power_matrix - naive_power| over the oracle's largest modulus (no max(1, .) floor)."""
@@ -322,3 +350,44 @@ class TestDoubleRange:
         # it, but their products stay near 1; n = 200 has lanes of m = 100, so r = 1200
         # folds binomials (1200 < 100*100/8) and r = 5000 sums modes
         assert _deviation(200, 0.5, 0.5j, r) <= 1e-10
+
+
+_BAND = st.builds(
+    lambda modulus, phase: complex(modulus * np.exp(1j * phase)),
+    st.floats(0.5, 2.0),
+    st.floats(0.0, 2 * np.pi),
+)
+_CASES = dict(n=st.integers(3, 512), a=_BAND, b=_BAND, r=st.integers(1, 40))
+
+
+class TestIdentities:
+    """O(n^2) checks that need no dense oracle, at orders it would take too long for."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_CASES)
+    def test_one_more_factor_shifts_and_scales_rows(self, n, a, b, r):
+        power = power_matrix(_request(n, a, b, r))
+        following = power_matrix(_request(n, a, b, r + 1))
+        # row i of A @ P is a * P[i + 2] + b * P[i - 2]
+        product = np.zeros_like(power)
+        product[:-2] += a * power[2:]
+        product[2:] += b * power[:-2]
+        assert np.max(np.abs(product - following)) <= 1e-10 * np.max(np.abs(following))
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_CASES)
+    def test_transpose_swaps_the_bands(self, n, a, b, r):
+        power = power_matrix(_request(n, a, b, r))
+        swapped = power_matrix(_request(n, b, a, r))
+        assert np.max(np.abs(power.T - swapped)) <= 1e-10 * np.max(np.abs(power))
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_CASES)
+    def test_zero_pattern_is_the_walk_support(self, n, a, b, r):
+        # a walk of length r between lane positions (i - j) / 2 apart exists iff the lane
+        # has two positions, |i - j| <= 2r and (i - j) / 2 has the parity of r
+        i, j = np.indices((n, n))
+        lane_size = (n + 1 - i % 2) // 2
+        step = (i - j) // 2
+        support = ((i - j) % 2 == 0) & (lane_size >= 2) & (abs(step) <= r) & ((step - r) % 2 == 0)
+        assert np.array_equal(power_matrix(_request(n, a, b, r)) != 0, support)
