@@ -13,6 +13,7 @@ notation, imaginary unit spelled ``i``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -111,38 +112,57 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
+def _cell_texts(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of every cell of a flat array, called once per distinct non-zero value.
+
+    Most entries of a power are exact zeros and the rest repeat along diagonals.
+    Zeros of either sign share the text of ``0``: every ``fmt`` here adds ``0.0``.
+    """
+    nonzero = np.flatnonzero(values)
+    distinct, inverse = np.unique(values[nonzero], return_inverse=True)
+    zero = values.dtype.type().item()
+    texts = np.array([fmt(v) for v in [zero, *distinct.tolist()]], dtype=object)
+    index = np.zeros(values.size, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    return texts[index].tolist()
+
+
+def _rows(cells: list[str], width: int, sep: str) -> list[str]:
+    return [sep.join(cells[i : i + width]) for i in range(0, len(cells), width)]
+
+
+def _parts(values: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts interleaved, as the CSV columns list them."""
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(np.float64)
+
+
+def _json_pair(value: complex) -> str:
+    # the text json.dumps gives _pair(value): floats are written with repr
+    return '{"re": %r, "im": %r}' % (value.real + 0.0, value.imag + 0.0)
+
+
 def _matrix_json(matrix: np.ndarray, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> str:
-    rows = [[_pair(complex(v)) for v in row] for row in matrix]
-    document = {
-        "schema_version": "1",
-        "n": spec.n,
-        "r": r,
-        "a": _pair(spec.a),
-        "b": _pair(spec.b),
-        "rows": rows,
-        "meta": {"route": route, "elapsed_ns": elapsed_ns},
-    }
-    return json.dumps(document, allow_nan=False)
+    if not np.isfinite(matrix).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps(
+        {"schema_version": "1", "n": spec.n, "r": r, "a": _pair(spec.a), "b": _pair(spec.b)},
+        allow_nan=False,
+    )
+    rows = "], [".join(_rows(_cell_texts(np.ravel(matrix), _json_pair), matrix.shape[1], ", "))
+    meta = json.dumps({"route": route, "elapsed_ns": elapsed_ns})
+    return f'{head[:-1]}, "rows": [[{rows}]], "meta": {meta}}}'
 
 
 def _matrix_csv(matrix: np.ndarray) -> str:
     n = matrix.shape[0]
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
-    lines = [header]
-    for row in matrix:
-        cells = []
-        for value in row:
-            value = complex(value)
-            cells.append(_format_float(value.real))
-            cells.append(_format_float(value.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    return "\n".join([header, *_rows(_cell_texts(_parts(matrix), _format_float), 2 * n, ",")])
 
 
 def _matrix_pretty(matrix: np.ndarray) -> str:
-    cells = [[format_complex(complex(v)) for v in row] for row in matrix]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+    cells = _cell_texts(np.ravel(matrix), format_complex)
+    width = max(map(len, cells))
+    return "\n".join(_rows([c.rjust(width) for c in cells], matrix.shape[1], "  "))
 
 
 _ROUTES = {
@@ -227,13 +247,9 @@ def eig_cmd(n, a, b, fmt, out):
         }
         text = json.dumps(document)
     elif fmt == "csv":
-        lines = ["re,im"]
-        for value in values:
-            value = complex(value)
-            lines.append(f"{_format_float(value.real)},{_format_float(value.imag)}")
-        text = "\n".join(lines)
+        text = "\n".join(["re,im", *_rows(_cell_texts(_parts(values), _format_float), 2, ",")])
     else:
-        text = "\n".join(format_complex(complex(v)) for v in values)
+        text = "\n".join(_cell_texts(values, format_complex))
     _emit(text, out)
 
 
@@ -303,6 +319,28 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
+# Each timed block of calls lasts at least this long, and each repeat times one
+# block per row in turn, so a slow spell of a shared host falls on all rows alike.
+_REPEAT_NS = 5_000_000
+
+
+def _interleaved_ns(calls: list, repeats: int) -> list[list[int]]:
+    """Per call, the mean ns of one call in each of ``repeats`` round-robin blocks."""
+    counts = []
+    for call in calls:
+        start = time.perf_counter_ns()
+        call()
+        counts.append(-(-_REPEAT_NS // max(1, time.perf_counter_ns() - start)))
+    timings = [[] for _ in calls]
+    for _ in range(repeats):
+        for call, count, row in zip(calls, counts, timings):
+            start = time.perf_counter_ns()
+            for _ in range(count):
+                call()
+            row.append((time.perf_counter_ns() - start) // count)
+    return timings
+
+
 @cli.command("bench")
 @click.option("--n", "n_list", required=True, help="Comma-separated orders.")
 @click.option("--r", "r_list", required=True, help="Comma-separated exponents.")
@@ -329,7 +367,7 @@ def bench_cmd(n_list, r_list, route_list, repeats, a, b, fmt, out):
         raise click.UsageError("--route must not be empty")
     if repeats < 3:
         raise DomainError(f"repeats must be >= 3, got {repeats}")
-    lines = ["n,r,route,median_ns,max_rel_vs_oracle"]
+    rows, calls = [], []
     for order in orders:
         spec = _make_spec(order, a, b)
         for exponent in exponents:
@@ -337,17 +375,17 @@ def bench_cmd(n_list, r_list, route_list, repeats, a, b, fmt, out):
                 raise DomainError(f"exponent must be >= 0, got {exponent}")
             reference = _computed("oracle", spec, exponent)
             for route in routes:
-                timings = []
+                call = functools.partial(_ROUTES[route], spec, exponent)
                 try:
-                    for _ in range(repeats):
-                        start = time.perf_counter_ns()
-                        result = _ROUTES[route](spec, exponent)
-                        timings.append(time.perf_counter_ns() - start)
+                    result = call()
                 except ArithmeticError as exc:
                     raise DomainError(str(exc)) from exc
                 deviation = compare(result, reference, 1e-8).max_rel_deviation
-                median_ns = int(statistics.median(timings))
-                lines.append(f"{order},{exponent},{route},{median_ns},{deviation:.3e}")
+                rows.append((f"{order},{exponent},{route}", deviation))
+                calls.append(call)
+    lines = ["n,r,route,median_ns,max_rel_vs_oracle"]
+    for (row, deviation), timings in zip(rows, _interleaved_ns(calls, repeats)):
+        lines.append(f"{row},{int(statistics.median(timings))},{deviation:.3e}")
     _emit("\n".join(lines), out)
 
 

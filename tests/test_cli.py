@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentapower import MatrixSpec
+from pentapower import MatrixSpec, PowerRequest, power_matrix
 from pentapower import cli as cli_module
 from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 
@@ -152,6 +152,18 @@ class TestPowerCommand:
         assert "RuntimeWarning" not in result.stderr
         # the largest entry counts walks of length 2000 on a path of 4 vertices: 6.8e417
         assert "about 1e417" in result.stderr
+
+    def test_csv_formats_each_distinct_value_once(self, runner, monkeypatch):
+        calls = []
+        original = cli_module._format_float
+        monkeypatch.setattr(cli_module, "_format_float", lambda v: calls.append(v) or original(v))
+        args = ["power", "--n", "257", "--r", "300", "--a", "0.5", "--b", "0.5i", "--format", "csv"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0
+        parts = power_matrix(PowerRequest(spec=MatrixSpec(n=257, a=0.5, b=0.5j), r=300)).view(float)
+        distinct = np.unique(parts[parts != 0]).size
+        assert len(result.output.splitlines()) == 258
+        assert 0 < len(calls) <= distinct + 1
 
     def test_json_refuses_nan(self):
         spec = MatrixSpec(n=3, a=1, b=1)
