@@ -105,11 +105,13 @@ def _pair(value: complex) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # the newline goes out on its own: appending it would copy the whole document
     if out is None:
-        click.echo(text)
+        click.echo(text, nl=False)
+        click.echo()
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.writelines((text, "\n"))
 
 
 def _cell_texts(values: np.ndarray, fmt) -> list[str]:
@@ -263,7 +265,7 @@ def eig_cmd(n, a, b, fmt, out):
 @click.option("--rel-tol", type=float, default=1e-8)
 def verify_cmd(n, r, a, b, seed, sweep, rel_tol):
     """Check the closed form against the brute-force oracle."""
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise DomainError(f"rel-tol must be positive, got {rel_tol}")
     if sweep:
         cases = [
@@ -319,26 +321,27 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-# Each timed block of calls lasts at least this long, and each repeat times one
-# block per row in turn, so a slow spell of a shared host falls on all rows alike.
+# Each timed block of calls lasts at least this long. The rows take turns block by
+# block, and each repeat keeps a row's fastest of three blocks, so a slow spell of a
+# shared host moves a row's time only if it outlasts the other rows' blocks between.
 _REPEAT_NS = 5_000_000
 
 
 def _interleaved_ns(calls: list, repeats: int) -> list[list[int]]:
-    """Per call, the mean ns of one call in each of ``repeats`` round-robin blocks."""
+    """Per call and repeat, the fastest mean ns of one call in three round-robin blocks."""
     counts = []
     for call in calls:
         start = time.perf_counter_ns()
         call()
         counts.append(-(-_REPEAT_NS // max(1, time.perf_counter_ns() - start)))
-    timings = [[] for _ in calls]
-    for _ in range(repeats):
-        for call, count, row in zip(calls, counts, timings):
+    blocks = [[] for _ in calls]
+    for _ in range(3 * repeats):
+        for call, count, row in zip(calls, counts, blocks):
             start = time.perf_counter_ns()
             for _ in range(count):
                 call()
             row.append((time.perf_counter_ns() - start) // count)
-    return timings
+    return [[min(row[i : i + 3]) for i in range(0, len(row), 3)] for row in blocks]
 
 
 @cli.command("bench")
@@ -375,14 +378,9 @@ def bench_cmd(n_list, r_list, route_list, repeats, a, b, fmt, out):
                 raise DomainError(f"exponent must be >= 0, got {exponent}")
             reference = _computed("oracle", spec, exponent)
             for route in routes:
-                call = functools.partial(_ROUTES[route], spec, exponent)
-                try:
-                    result = call()
-                except ArithmeticError as exc:
-                    raise DomainError(str(exc)) from exc
-                deviation = compare(result, reference, 1e-8).max_rel_deviation
+                deviation = compare(_computed(route, spec, exponent), reference, 1e-8).max_rel_deviation
                 rows.append((f"{order},{exponent},{route}", deviation))
-                calls.append(call)
+                calls.append(functools.partial(_ROUTES[route], spec, exponent))
     lines = ["n,r,route,median_ns,max_rel_vs_oracle"]
     for (row, deviation), timings in zip(rows, _interleaved_ns(calls, repeats)):
         lines.append(f"{row},{int(statistics.median(timings))},{deviation:.3e}")

@@ -50,7 +50,7 @@ from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benc
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
-    _even_nodes,  # unused here; the benchmark's traced run looks it up on this module
+    _even_nodes,
     _int_powers,
     _lane_size,
     _lane_tables,
@@ -83,16 +83,6 @@ class PowerRequest:
         object.__setattr__(self, "r", int(self.r))
         if self.r < 0:
             raise ValueError(f"exponent must be >= 0, got {self.r}")
-
-
-def _term_count_even(n: int) -> int:
-    # one term per node pair of a lane; an odd-size lane's zero middle node is dropped
-    return _lane_size(n, 0) // 2
-
-
-def _term_count_odd(n: int, odd_lane: bool) -> int:
-    # the same count for the lane that holds position 1 (odd_lane) or position 2
-    return _lane_size(n, 0 if odd_lane else 1) // 2
 
 
 def _split(z: complex) -> tuple[complex, int]:
@@ -147,7 +137,7 @@ def _walk_counts(m: int, r: int) -> tuple[np.ndarray, int]:
         whole = math.floor(top)
         row = np.exp((logs - logs[r // 2]) + (top - whole) * math.log(2))
         return np.bincount((2 * np.arange(r + 1) - r) % size, weights=row, minlength=size), whole
-    half = np.cos(np.arange(1, m // 2 + 1) * np.pi / (m + 1))
+    half = _even_nodes(2 * m)[: m // 2]
     nodes = np.concatenate((half, np.zeros(m % 2), -half[::-1]))
     modes = np.zeros(m + 2)
     modes[1 : m + 1] = _pow_array(nodes / nodes[0], r)

@@ -117,14 +117,12 @@ def _even_nodes(n: int) -> np.ndarray:
 
 
 def _odd_nodes(n: int) -> np.ndarray:
-    # index m = 1..n; odd m belongs to the odd lane (denominator n+3),
-    # even m to the even lane (denominator n+1)
-    m = np.arange(1, n + 1)
-    return np.where(
-        m % 2 == 1,
-        np.cos((m + 1) * np.pi / (n + 3)),
-        np.cos(m * np.pi / (n + 1)),
-    )
+    # in index order: the lane of size (n+1)/2 at positions 1, 3, ..., the
+    # lane of size (n-1)/2 at positions 2, 4, ...
+    nodes = np.empty(n)
+    nodes[0::2] = _even_nodes(n + 1)
+    nodes[1::2] = _even_nodes(n - 1)
+    return nodes
 
 
 def _require_even(spec: MatrixSpec) -> None:
@@ -255,7 +253,4 @@ def char_function(spec: MatrixSpec, lam) -> complex:
     """
     derived = DerivedScalars.from_spec(spec)
     z = complex(lam) / (2.0 * derived.sqrt_ab)
-    if spec.is_even:
-        u = chebyshev_u(spec.n // 2, z)
-        return u * u
-    return chebyshev_u((spec.n - 1) // 2, z) * chebyshev_u((spec.n + 1) // 2, z)
+    return chebyshev_u(_lane_size(spec.n, 0), z) * chebyshev_u(_lane_size(spec.n, 1), z)

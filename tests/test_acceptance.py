@@ -21,8 +21,7 @@ from pentapower import (
     transform_odd,
 )
 from pentapower.cli import cli
-
-from _sweeps import band_pairs
+from pentapower.oracle import band_pairs
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:

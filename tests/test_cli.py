@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_non_positive_tolerance_exits_three(self, runner, tol):
+        result = runner.invoke(cli, ["verify", "--n", "6", "--r", "6", "--rel-tol", tol])
+        assert result.exit_code == 3
+        assert "rel-tol must be positive" in result.stderr
+
     def test_domain_error(self, runner):
         result = runner.invoke(cli, ["verify", "--n", "4", "--r", "1", "--a", "0", "--b", "1"])
         assert result.exit_code == 3
@@ -353,6 +360,24 @@ class TestBenchCommand:
         )
         assert result.exit_code == 3
         assert "rounding bound" in result.stderr
+
+    def test_overflowing_reference_sum_exits_three(self, runner):
+        # the closed form fits doubles here, but the node sum's eigenvalue powers overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                cli,
+                [
+                    "bench",
+                    "--n", "128",
+                    "--r", "1026",
+                    "--route", "closed_form,spectral",
+                    "--repeats", "3",
+                ],
+            )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert not caught
 
     def test_zero_order_exits_three(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "0", "--r", "1"])

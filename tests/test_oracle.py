@@ -13,8 +13,7 @@ from pentapower import (
     mat_mul,
     naive_power,
 )
-
-from _sweeps import band_pairs
+from pentapower.oracle import band_pairs
 
 
 class TestBuildDense:

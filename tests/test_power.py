@@ -14,9 +14,9 @@ from pentapower import (
     power_matrix,
     power_via_spectral,
 )
-from pentapower.power import _MODES_FROM, _term_count_even, _term_count_odd
-
-from _sweeps import band_pairs
+from pentapower.oracle import band_pairs
+from pentapower.power import _MODES_FROM
+from pentapower.spectrum import _even_nodes, _lane_size, _odd_nodes
 
 
 def _request(n, a, b, r, flip=False):
@@ -77,27 +77,45 @@ class TestEntryFormulas:
             power_entry_even(spec_even, 2, 1, 5)
 
 
+def _assert_count_covers_lane(m, count):
+    # the node sum keeps the first m // 2 nodes of a size-m lane and doubles each;
+    # the rest are their negatives and, for odd m, one zero node
+    nodes = _even_nodes(2 * m)
+    assert count == m // 2
+    assert np.all(nodes[:count] > 0)
+    assert np.count_nonzero(np.abs(nodes) > 1e-12) == 2 * count
+    assert_allclose(nodes[::-1][:count], -nodes[:count], atol=1e-15)
+
+
 class TestTermCounts:
     @pytest.mark.parametrize("n", range(4, 41, 2))
     def test_even_counts_cover_nonzero_spectrum(self, n):
-        count = _term_count_even(n)
+        m = _lane_size(n, 0)
+        assert _lane_size(n, 1) == m
+        count = m // 2
         assert count >= 1
         assert count <= n // 4 + 1
+        _assert_count_covers_lane(m, count)
 
     @pytest.mark.parametrize("n", range(3, 42, 2))
     def test_odd_counts_are_exhaustively_consistent(self, n):
         # every same-parity (i, j) pair uses its lane's count; the count is
         # a non-negative integer and only the order-3 even lane is empty
+        assert _lane_size(n, 0) + _lane_size(n, 1) == n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if (i + j) % 2:
                     continue
-                count = _term_count_odd(n, i % 2 == 1)
+                m = _lane_size(n, 1 - i % 2)
+                count = m // 2
                 assert count >= 0
                 assert count <= n // 4 + 1
                 if n >= 5:
                     assert count >= 1
-        assert _term_count_odd(3, False) == 0
+                _assert_count_covers_lane(m, count)
+        nonzero = np.count_nonzero(np.abs(_odd_nodes(n)) > 1e-12)
+        assert nonzero == 2 * (_lane_size(n, 0) // 2 + _lane_size(n, 1) // 2)
+        assert _lane_size(3, 1) // 2 == 0
 
 
 class TestPowerMatrix:

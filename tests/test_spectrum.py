@@ -19,8 +19,7 @@ from pentapower import (
     transform_odd,
     tridiag_charpoly,
 )
-
-from _sweeps import band_pairs
+from pentapower.oracle import band_pairs
 
 
 def _residuals(spec, decomposition):
