@@ -31,9 +31,9 @@ __all__ = [
 class VerificationReport:
     """Elementwise deviation summary between a candidate and a reference.
 
-    max_rel_deviation is max_abs_deviation divided by the largest reference
-    modulus (0 or inf for an all-zero reference, which only an exact match
-    passes); passed compares that quotient against tolerance_used.
+    max_rel_deviation is max_abs_deviation over the largest reference modulus
+    (0 or inf for an all-zero reference, which only an exact match passes);
+    passed compares it with tolerance_used, and a non-finite modulus fails.
     worst_index is 0-based (row, column).
     """
 
@@ -122,16 +122,7 @@ def _determinant_corollary(
     spec = MatrixSpec(n=n, a=complex(x), b=1j)
     lu_value = determinant(build_dense(spec))
     formula_value = ipow(1j * fibonacci_poly(2, x), n // 2)
-    deviation = abs(lu_value - formula_value)
-    scale = max(1.0, abs(formula_value))
-    report = VerificationReport(
-        max_abs_deviation=deviation,
-        max_rel_deviation=deviation / scale,
-        worst_index=(0, 0),
-        passed=deviation <= rel_tol * scale,
-        tolerance_used=rel_tol,
-    )
-    return report, lu_value, formula_value
+    return compare([[lu_value]], [[formula_value]], rel_tol), lu_value, formula_value
 
 
 def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> VerificationReport:
@@ -142,7 +133,7 @@ def determinant_corollary_check(t: int, x, rel_tol: float = 1e-9) -> Verificatio
 
 
 def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> VerificationReport:
-    """Elementwise comparison, pass iff max deviation <= rel_tol * largest reference modulus."""
+    """Elementwise comparison, pass iff max deviation <= rel_tol * largest reference modulus < inf."""
     candidate = np.asarray(candidate, dtype=complex)
     reference = np.asarray(reference, dtype=complex)
     if candidate.shape != reference.shape:
@@ -158,6 +149,6 @@ def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> Ver
         max_abs_deviation=max_abs,
         max_rel_deviation=max_abs / scale if scale else (0.0 if max_abs == 0 else np.inf),
         worst_index=worst_index,
-        passed=max_abs <= rel_tol * scale,
+        passed=bool(np.isfinite(scale) and max_abs <= rel_tol * scale),
         tolerance_used=rel_tol,
     )

@@ -205,10 +205,12 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int, out: np.ndarray) -> None:
 
 
 def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
-    """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an
-    exact 0 where r + p + q is odd; FloatingPointError where rounding could hide it."""
+    """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an exact 0
+    where r + p + q is odd; OverflowError or FloatingPointError where doubles cannot hold it."""
     nodes, weights, columns, inverse_rows = _lane_tables(m, m // 2, derived)
     terms = weights * np.array([ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex)
+    if not np.isfinite(terms).all():
+        raise OverflowError(f"the node sum for A**{r} has eigenvalue powers beyond the double range")
     lane = 2 * (columns * terms) @ inverse_rows
     lane[np.add.outer(np.arange(m), np.arange(m)) % 2 != r % 2] = 0
     moduli = 2 * (abs(columns) * abs(terms)) @ abs(inverse_rows)
@@ -277,5 +279,8 @@ def power_via_spectral(req: PowerRequest) -> np.ndarray:
     derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
     out = np.zeros((spec.n, spec.n), dtype=complex)
     for lane in (0, 1):
-        out[lane::2, lane::2] = _node_sum_lane(_lane_size(spec.n, lane), derived, req.r)
+        if lane == 1 and spec.is_even:
+            out[1::2, 1::2] = out[0::2, 0::2]
+        else:
+            out[lane::2, lane::2] = _node_sum_lane(_lane_size(spec.n, lane), derived, req.r)
     return out

@@ -59,9 +59,11 @@ class MatrixSpec:
         return self.n % 2 == 0
 
 
-def _principal_sqrt(z: complex) -> complex:
-    """Square root with Re >= 0, and Im >= 0 when the real part vanishes."""
-    root = cmath.sqrt(z)
+def _principal_sqrt(a: complex, b: complex) -> complex:
+    """Square root of a*b with Re >= 0, and Im >= 0 when the real part vanishes; from
+    sqrt(a)*sqrt(b) where a*b itself would leave the double range or lose digits."""
+    ab = a * b
+    root = cmath.sqrt(ab) if 2.0**-1000 < abs(ab) < 2.0**1000 else cmath.sqrt(a) * cmath.sqrt(b)
     if root.real < 0 or (root.real == 0 and root.imag < 0):
         root = -root
     return root
@@ -84,7 +86,7 @@ class DerivedScalars:
 
     @classmethod
     def from_spec(cls, spec: MatrixSpec, branch_flip: bool = False) -> "DerivedScalars":
-        sqrt_ab = _principal_sqrt(spec.a * spec.b)
+        sqrt_ab = _principal_sqrt(spec.a, spec.b)
         alpha = spec.b / spec.a
         sqrt_alpha = sqrt_ab / spec.a
         if branch_flip:

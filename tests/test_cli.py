@@ -203,6 +203,13 @@ class TestPowerCommand:
         assert result.stdout == ""
         assert "rounding bound" in result.stderr
 
+    def test_overflowing_node_sum_names_its_eigenvalue_powers(self, runner):
+        # the closed form fits doubles here; only the node sum's (2 sqrt(ab) x_k)**r overflow
+        result = runner.invoke(cli, ["power", "--route", "spectral", "--n", "128", "--r", "1026"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "node sum for A**1026 has eigenvalue powers beyond the double range" in result.stderr
+
     @pytest.mark.parametrize("command", ["power", "verify", "bench"])
     def test_order_beyond_memory_exits_three(self, runner, command):
         # 16 * 10**14 bytes: refused before any n x n array is allocated
@@ -241,6 +248,21 @@ class TestEigCommand:
             complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]
         ]
         assert values == pytest.approx([1, 0, -1], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("zeros", [-200, 200])
+    def test_bands_whose_product_leaves_the_double_range(self, runner, n, zeros):
+        # a = b = 10**zeros, typed out in full: a*b is inf or 0 as a double, sqrt(ab) = a is not
+        band = "1" + "0" * zeros if zeros > 0 else "0." + "0" * (-zeros - 1) + "1"
+        result = runner.invoke(cli, ["eig", "--n", str(n), "--a", band, "--b", band])
+        assert result.exit_code == 0
+        values = [v["re"] for v in json.loads(result.output)["eigenvalues"]]
+        expected = [
+            2 * 10.0**zeros * math.cos(k * math.pi / (m + 1))
+            for m in (n // 2 + n % 2, n // 2)
+            for k in range(1, m + 1)
+        ]
+        assert sorted(values) == pytest.approx(sorted(expected), rel=1e-12, abs=1e-15 * 10.0**zeros)
 
     def test_csv_format(self, runner):
         result = runner.invoke(cli, ["eig", "--n", "4", "--format", "csv"])
@@ -295,6 +317,26 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify", "--n", "8", "--r", "2000"])
         assert result.exit_code == 3
         assert "beyond the double range" in result.stderr
+
+    def test_overflowed_oracle_exits_three(self, runner):
+        # the closed form fits doubles (largest entry 9.4e204); the oracle's squarings overflow
+        args = ["verify", "--n", "100", "--r", "1000", "--a", "100000000", "--b", "0.000000001"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3
+        assert "PASS" not in result.output and "FAIL" not in result.output
+        assert "A**1000 by the oracle route went beyond the double range" in result.stderr
+
+    def test_non_finite_oracle_is_refused_not_passed(self, runner, monkeypatch):
+        nan_power = lambda spec, r: np.full((spec.n, spec.n), np.nan, dtype=complex)
+        monkeypatch.setitem(cli_module._ROUTES, "oracle", nan_power)
+        result = runner.invoke(cli, ["verify", "--n", "6", "--r", "6"])
+        assert result.exit_code == 3
+        assert "PASS" not in result.output
+
+    def test_zero_exponent_exits_three(self, runner):
+        result = runner.invoke(cli, ["verify", "--n", "6", "--r", "0"])
+        assert result.exit_code == 3
+        assert "verification needs r >= 1" in result.stderr
 
     def test_sweep_passes(self, runner):
         result = runner.invoke(cli, ["verify", "--sweep"])
@@ -383,6 +425,11 @@ class TestBenchCommand:
         result = runner.invoke(cli, ["bench", "--n", "0", "--r", "1"])
         assert result.exit_code == 3
 
+    def test_negative_exponent_exits_three(self, runner):
+        result = runner.invoke(cli, ["bench", "--n", "4", "--r", "-1", "--repeats", "3"])
+        assert result.exit_code == 3
+        assert "exponent must be >= 0, got -1" in result.stderr
+
     def test_too_few_repeats_exits_three(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "4", "--r", "1", "--repeats", "2"])
         assert result.exit_code == 3
@@ -393,4 +440,9 @@ class TestBenchCommand:
 
     def test_empty_list_exits_two(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "", "--r", "1"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag,text", [("--route", ","), ("--n", "4,x")])
+    def test_malformed_list_exits_two(self, runner, flag, text):
+        result = runner.invoke(cli, ["bench", "--n", "4", "--r", "1", flag, text])
         assert result.exit_code == 2

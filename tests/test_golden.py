@@ -8,7 +8,10 @@ change of the output contract: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import gzip
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +88,24 @@ def test_cli_output_matches_golden(name):
 @pytest.mark.parametrize("name", ["edge_json", "edge_csv", "edge_pretty"])
 def test_formatter_matches_golden_on_edge_values(name):
     assert _edge_outputs()[name] == _golden(name)
+
+
+def test_module_entry_point_matches_golden():
+    # the benchmark's CLI workload runs `python -m pentapower.cli`, which CliRunner never does
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run(*args):
+        command = [sys.executable, "-m", "pentapower.cli", "power", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    done = run(*_POWER["n6_r6"])
+    assert done.returncode == 0, done.stderr
+    assert _scrub(done.stdout) == _golden("power_n6_r6_json")
+    refused = run("--n", "2", "--r", "1")
+    assert refused.returncode == 3
+    assert refused.stdout == ""
+    assert "matrix order must be >= 3, got 2" in refused.stderr
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from pentapower import (
     eigenvalues_odd,
     mat_mul,
     naive_power,
+    oracle,
 )
 from pentapower.oracle import band_pairs
 
@@ -165,6 +166,13 @@ class TestCorollaryCheck:
         with pytest.raises(ValueError):
             determinant_corollary_check(0, 1)
 
+    def test_zeroed_determinant_fails_a_small_formula(self, monkeypatch):
+        # the formula (0.1i)**16 is 1e-16: only a max(1, |formula|) floor would pass a zero
+        monkeypatch.setattr(oracle, "determinant", lambda matrix: 0j)
+        report = determinant_corollary_check(8, 0.1)
+        assert not report.passed
+        assert report.max_rel_deviation == pytest.approx(1)
+
 
 class TestCompare:
     def test_equal_matrices_pass(self):
@@ -203,6 +211,13 @@ class TestCompare:
         off = compare(1e-300 * np.eye(3), zero, 1e-8)
         assert not off.passed
         assert off.max_rel_deviation == np.inf
+
+    def test_overflowed_reference_fails_every_candidate(self):
+        # the reference's non-zero entries are inf or nan, so rel_tol * scale bounds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = naive_power(MatrixSpec(n=8, a=1, b=1), 2000)
+            assert not compare(np.zeros((8, 8)), reference, 1e-8).passed
+            assert not compare(reference, reference, 1e-8).passed
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

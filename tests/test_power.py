@@ -240,6 +240,10 @@ class TestPowerMatrix:
 
 
 class TestSpectralRoute:
+    def test_r_zero_is_identity(self):
+        result = power_via_spectral(_request(5, 2, 3, 0))
+        assert np.array_equal(result, np.eye(5, dtype=complex))
+
     def test_unit_band_square_is_identity(self):
         result = power_via_spectral(_request(4, 1, 1, 2))
         assert_allclose(result, np.eye(4), atol=1e-12)
@@ -282,6 +286,14 @@ class TestSpectralRoute:
                     result = power_via_spectral(_request(n, a, b, r))
                     i, j = np.indices((n, n))
                     assert np.all(result[((i + j) % 2 == 1) | ((i // 2 + j // 2 + r) % 2 == 1)] == 0)
+
+    @pytest.mark.parametrize("n", [6, 7, 12])
+    @pytest.mark.parametrize("band", [1e200, -1e200, 1e-200])
+    def test_bands_whose_product_leaves_the_double_range(self, n, band):
+        # a*b is inf or 0 as a double; sqrt(ab) comes from sqrt(a) * sqrt(b) instead
+        closed = power_matrix(_request(n, band, band, 1))
+        spectral = power_via_spectral(_request(n, band, band, 1))
+        assert np.max(np.abs(spectral - closed)) <= 1e-12 * np.max(np.abs(closed))
 
     def test_unresolvable_sum_is_refused(self):
         # the sqrt(b/a)**(p-q) node sum missed this case by 1.2e28 of the scale
