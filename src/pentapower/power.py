@@ -50,11 +50,12 @@ from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benc
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
+    _by_lanes,
     _even_nodes,
+    _index_nodes as _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
     _int_powers,
     _lane_size,
     _lane_tables,
-    _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
     _require_even,
     _require_odd,
 )
@@ -208,7 +209,7 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
     """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an exact 0
     where r + p + q is odd; OverflowError or FloatingPointError where doubles cannot hold it."""
     nodes, weights, columns, inverse_rows = _lane_tables(m, m // 2, derived)
-    terms = weights * np.array([ipow(2.0 * derived.sqrt_ab * x, r) for x in nodes], dtype=complex)
+    terms = weights * np.array([ipow(derived.sqrt_ab * (2.0 * x), r) for x in nodes], dtype=complex)
     if not np.isfinite(terms).all():
         raise OverflowError(f"the node sum for A**{r} has eigenvalue powers beyond the double range")
     lane = 2 * (columns * terms) @ inverse_rows
@@ -262,13 +263,7 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     spec = req.spec
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
-    out = np.zeros((spec.n, spec.n), dtype=complex)
-    for lane in (0, 1):
-        if lane == 1 and spec.is_even:
-            out[1::2, 1::2] = out[0::2, 0::2]  # both lanes of an even order are the same matrix
-        else:
-            _walk_lane(_lane_size(spec.n, lane), spec, req.r, out[lane::2, lane::2])
-    return out
+    return _by_lanes(spec.n, lambda m, view: _walk_lane(m, spec, req.r, view))
 
 
 def power_via_spectral(req: PowerRequest) -> np.ndarray:
@@ -277,10 +272,4 @@ def power_via_spectral(req: PowerRequest) -> np.ndarray:
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
     derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
-    out = np.zeros((spec.n, spec.n), dtype=complex)
-    for lane in (0, 1):
-        if lane == 1 and spec.is_even:
-            out[1::2, 1::2] = out[0::2, 0::2]
-        else:
-            out[lane::2, lane::2] = _node_sum_lane(_lane_size(spec.n, lane), derived, req.r)
-    return out
+    return _by_lanes(spec.n, lambda m, view: np.copyto(view, _node_sum_lane(m, derived, req.r)))

@@ -118,13 +118,28 @@ def _even_nodes(n: int) -> np.ndarray:
     return np.cos(2.0 * k * np.pi / (n + 2))
 
 
-def _odd_nodes(n: int) -> np.ndarray:
-    # in index order: the lane of size (n+1)/2 at positions 1, 3, ..., the
-    # lane of size (n-1)/2 at positions 2, 4, ...
+def _index_nodes(n: int) -> np.ndarray:
+    # in index order: the nodes of lane 0 at positions 1, 3, ..., those of lane 1 at 2, 4, ...
     nodes = np.empty(n)
-    nodes[0::2] = _even_nodes(n + 1)
-    nodes[1::2] = _even_nodes(n - 1)
+    for lane in (0, 1):
+        nodes[lane::2] = _even_nodes(2 * _lane_size(n, lane))
     return nodes
+
+
+def _lane_size(n: int, lane: int) -> int:
+    # lane 0 holds positions 1, 3, ...; lane 1 holds positions 2, 4, ...
+    return (n + 1 - lane) // 2
+
+
+def _by_lanes(n: int, fill) -> np.ndarray:
+    """Zero n x n matrix whose size-m lanes fill(m, view) writes; an even order's lanes are equal."""
+    out = np.zeros((n, n), dtype=complex)
+    fill(_lane_size(n, 0), out[0::2, 0::2])
+    if n % 2:
+        fill(_lane_size(n, 1), out[1::2, 1::2])
+    else:
+        out[1::2, 1::2] = out[0::2, 0::2]
+    return out
 
 
 def _require_even(spec: MatrixSpec) -> None:
@@ -137,18 +152,23 @@ def _require_odd(spec: MatrixSpec) -> None:
         raise ValueError(f"matrix order must be odd, got {spec.n}")
 
 
+def _eigenvalues(spec: MatrixSpec, branch_flip: bool = False) -> np.ndarray:
+    """All n eigenvalues in index order, with multiplicity: sqrt(ab) * (2 * node). Doubling
+    the node is exact, and unlike doubling sqrt(ab) it cannot overflow before the node scales."""
+    derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
+    return derived.sqrt_ab * (2.0 * _index_nodes(spec.n))
+
+
 def eigenvalues_even(spec: MatrixSpec) -> np.ndarray:
     """The n/2 distinct eigenvalues of an even-order matrix, each of multiplicity two."""
     _require_even(spec)
-    derived = DerivedScalars.from_spec(spec)
-    return 2.0 * derived.sqrt_ab * _even_nodes(spec.n)
+    return _eigenvalues(spec)[0::2]
 
 
 def eigenvalues_odd(spec: MatrixSpec) -> np.ndarray:
     """All n simple eigenvalues of an odd-order matrix, in index order."""
     _require_odd(spec)
-    derived = DerivedScalars.from_spec(spec)
-    return 2.0 * derived.sqrt_ab * _odd_nodes(spec.n)
+    return _eigenvalues(spec)
 
 
 def _int_powers(base: complex, count: int) -> np.ndarray:
@@ -178,31 +198,15 @@ def _lane_tables(m: int, count: int, derived: DerivedScalars):
     return nodes, weights, up[:, None] * cheb, down[None, :] * cheb.T
 
 
-def _lane_size(n: int, lane: int) -> int:
-    # lane 0 holds positions 1, 3, ...; lane 1 holds positions 2, 4, ...
-    return (n + 1 - lane) // 2
-
-
 def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
     """Column and eigenvalue lane + 2(k-1) carry the k-th node of a size-m lane;
-    its inverse rows carry the weights 2*(1 - node**2)/(m + 1). The two lanes
-    of an even order are the same matrix and share their tables."""
-    n = spec.n
+    its inverse rows carry the weights 2*(1 - node**2)/(m + 1)."""
     derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
-    transform = np.zeros((n, n), dtype=complex)
-    inverse = np.zeros((n, n), dtype=complex)
-    eigenvalues = np.empty(n, dtype=complex)
-    for lane in (0, 1):
-        m = _lane_size(n, lane)
-        if lane == 0 or not spec.is_even:
-            nodes, weights, columns, inverse_rows = _lane_tables(m, m, derived)
-        transform[lane::2, lane::2] = columns
-        inverse[lane::2, lane::2] = weights[:, None] * inverse_rows
-        eigenvalues[lane::2] = 2.0 * derived.sqrt_ab * nodes
+    tables = {m: _lane_tables(m, m, derived) for m in {_lane_size(spec.n, 0), _lane_size(spec.n, 1)}}
     return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        transform=transform,
-        inverse_transform=inverse,
+        eigenvalues=_eigenvalues(spec, branch_flip),
+        transform=_by_lanes(spec.n, lambda m, view: np.copyto(view, tables[m][2])),
+        inverse_transform=_by_lanes(spec.n, lambda m, view: np.copyto(view, tables[m][1][:, None] * tables[m][3])),
         parity="even" if spec.is_even else "odd",
     )
 
@@ -253,6 +257,6 @@ def char_function(spec: MatrixSpec, lam) -> complex:
     The value differs from det(lam*I - A) by a lam-independent constant
     factor; only the root set and that constancy are contractual.
     """
-    derived = DerivedScalars.from_spec(spec)
-    z = complex(lam) / (2.0 * derived.sqrt_ab)
+    lam, sqrt_ab = complex(lam), DerivedScalars.from_spec(spec).sqrt_ab
+    z = complex(lam.real / 2, lam.imag / 2) / sqrt_ab  # halving lam is exact; doubling sqrt(ab) may overflow
     return chebyshev_u(_lane_size(spec.n, 0), z) * chebyshev_u(_lane_size(spec.n, 1), z)

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentapower import MatrixSpec, PowerRequest, power_matrix
+from pentapower import MatrixSpec, PowerRequest, power_matrix, transform_even, transform_odd
 from pentapower import cli as cli_module
+from pentapower import oracle as oracle_module
 from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 
 
@@ -270,6 +271,31 @@ class TestEigCommand:
         assert lines[0] == "re,im"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_bands_near_the_top_of_the_double_range(self, runner, n):
+        # a = b = 1e308: sqrt(ab) = 1e308 fits, 2*sqrt(ab) does not; the largest
+        # eigenvalue 2e308*cos(pi/(m+1)) fits up to m = 5 (n = 10) and overflows beyond
+        band = "1" + "0" * 308
+        result = runner.invoke(cli, ["eig", "--n", str(n), "--a", band, "--b", band])
+        if n > 10:
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert "eigenvalues of order" in result.stderr
+            return
+        assert result.exit_code == 0
+        values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
+        spec = MatrixSpec(n=n, a=1e308, b=1e308)
+        expected = (transform_even if n % 2 == 0 else transform_odd)(spec).eigenvalues
+        assert np.max(np.abs(np.array(values) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_values_are_the_transform_eigenvalues(self, runner, n):
+        for a, b in oracle_module.band_pairs(20240811, 5):
+            spec = MatrixSpec(n=n, a=a, b=b)
+            result = runner.invoke(cli, ["eig", "--n", str(n), "--a", format_complex(a), "--b", format_complex(b)])
+            values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
+            assert values == list((transform_even if n % 2 == 0 else transform_odd)(spec).eigenvalues)
+
 
 class TestVerifyCommand:
     def test_single_case_passes(self, runner):
@@ -360,6 +386,31 @@ class TestDetCommand:
         result = runner.invoke(cli, ["det", "--t", "0", "--x", "1"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "t,x",
+        [
+            ("1", "0"),  # a = 0 is no matrix of the family
+            ("100", "1000"),  # (1000i)**200 = 1e600 overflows, and so does the LU product
+            ("100", "0.001"),  # 1e-600 underflows to 0, where a check of 0 against 0 would pass
+        ],
+    )
+    def test_values_outside_doubles_exit_three(self, runner, t, x):
+        result = runner.invoke(cli, ["det", "--t", t, "--x", x])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("x", ["0.028", "0.03"])
+    def test_subnormal_determinants_pass(self, runner, x):
+        result = runner.invoke(cli, ["det", "--t", "100", "--x", x])
+        assert result.exit_code == 0
+        assert "PASS" in result.output
+
+    def test_zero_lu_determinant_fails(self, runner, monkeypatch):
+        monkeypatch.setattr(oracle_module, "determinant", lambda matrix: 0j)
+        result = runner.invoke(cli, ["det", "--t", "2", "--x", "1+1i"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1].endswith("FAIL")
+
 
 class TestBenchCommand:
     def test_route_agreement_rows(self, runner):
@@ -386,6 +437,18 @@ class TestBenchCommand:
         result = runner.invoke(cli, ["bench", "--n", "8", "--r", "2000", "--repeats", "3"])
         assert result.exit_code == 3
         assert "beyond the double range" in result.stderr
+
+    def test_overflow_names_the_route_before_the_oracle(self, runner):
+        result = runner.invoke(cli, ["bench", "--n", "8", "--r", "2000", "--repeats", "3"])
+        assert result.exit_code == 3
+        assert "the largest entry of A**2000 is about 1e417" in result.stderr
+
+    def test_oracle_only_overflow_names_the_oracle(self, runner):
+        # the closed form fits doubles (largest entry 9.4e204); the oracle's squarings overflow
+        args = ["bench", "--n", "100", "--r", "1000", "--a", "100000000", "--b", "0.000000001"]
+        result = runner.invoke(cli, [*args, "--repeats", "3"])
+        assert result.exit_code == 3
+        assert "A**1000 by the oracle route went beyond the double range" in result.stderr
 
     def test_unresolvable_reference_sum_exits_three(self, runner):
         result = runner.invoke(

@@ -16,7 +16,7 @@ from pentapower import (
 )
 from pentapower.oracle import band_pairs
 from pentapower.power import _MODES_FROM
-from pentapower.spectrum import _even_nodes, _lane_size, _odd_nodes
+from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size
 
 
 def _request(n, a, b, r, flip=False):
