@@ -174,13 +174,17 @@ _ROUTES = {
 }
 
 
+def _require_memory(n: int, arrays: int) -> None:
+    needed, memory = arrays * 16 * n**2, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise DomainError(f"order {n} needs {needed} bytes, more than the {memory} in memory")
+
+
 def _computed(route: str, spec: MatrixSpec, r: int) -> np.ndarray:
     """The route's r-th power, or a domain error where r, memory, doubles or rounding fail it."""
     if r < 0:
         raise DomainError(f"exponent must be >= 0, got {r}")
-    needed, memory = 16 * spec.n**2, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > memory:
-        raise DomainError(f"order {spec.n} needs {needed} bytes, more than the {memory} in memory")
+    _require_memory(spec.n, 1)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = _ROUTES[route](spec, r)
@@ -300,6 +304,7 @@ def det_cmd(t, x):
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     spec = _make_spec(4 * t, x, 1j)
+    _require_memory(spec.n, 2)  # the dense matrix and the LU's working copy
     with np.errstate(over="ignore", invalid="ignore"):
         report, lu_value, formula_value = _determinant_corollary(t, x, 1e-9)
     # x != 0, so a zero formula has underflowed; then the check would compare 0 with 0

@@ -76,15 +76,14 @@ def naive_power(spec: MatrixSpec, r: int) -> np.ndarray:
     r = int(r)
     if r < 0:
         raise ValueError(f"exponent must be >= 0, got {r}")
-    result = np.eye(spec.n, dtype=complex)
-    base = build_dense(spec)
+    result, base = None, build_dense(spec)  # None, not the identity: I @ base is a wasted product
     while r:
         if r & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         r >>= 1
         if r:
             base = mat_mul(base, base)
-    return result
+    return np.eye(spec.n, dtype=complex) if result is None else result
 
 
 def determinant(matrix: np.ndarray) -> complex:

@@ -12,7 +12,8 @@ where the reflection principle (Feller, Vol. 1, walks between two
 absorbing barriers) gives the path count W_r through C[d], the number of
 walks from 0 to d on a cycle of 2(m + 1) vertices. power_matrix fills each
 lane from O(m) numbers, Toeplitz weights times (Toeplitz minus Hankel)
-counts, with no square root and no branch choice. C comes from:
+counts, with no square root and no branch choice, one row block at a time
+that _by_lanes writes to every lane of its size in one pass. C comes from:
 
 * r < m*m/8: the binomial row folded mod 2(m + 1), in float log space, O(r);
 * r >= m*m/8: the path-graph modes, (1/(m+1)) * sum_k mu_k cos(k*pi*d/(m+1))
@@ -50,6 +51,7 @@ from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benc
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
+    _block_rows,
     _by_lanes,
     _even_nodes,
     _index_nodes as _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
@@ -163,11 +165,10 @@ def _diagonal_weights(m: int, a: complex, b: complex, r: int) -> tuple[np.ndarra
     return weights, e + e_big + e_small
 
 
-def _walk_lane(m: int, spec: MatrixSpec, r: int, out: np.ndarray) -> None:
-    """Write the r-th power, r >= 1, of a size-m lane into the m x m view out."""
+def _walk_lane(m: int, spec: MatrixSpec, r: int):
+    """rows(s): the rows s of a size-m lane's r-th power, r >= 1, in a buffer the next call reuses."""
     if m == 1:
-        out[...] = 0  # a single vertex has no walk of length >= 1
-        return
+        return lambda s: np.zeros((1, 1), dtype=complex)  # a single vertex has no walk of length >= 1
     counts, e_counts = _walk_counts(m, r)
     weights, e_weights = _diagonal_weights(m, spec.a, spec.b, r)
     diagonals = np.arange(-(m - 1), m)
@@ -197,12 +198,15 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int, out: np.ndarray) -> None:
     if max(half, rest) >= 1000:
         raise OverflowError(f"the entries of A**{r} span more than the double range")
     weights *= math.ldexp(1.0, rest)
-    # out[p, q] = (C[|q-p|] - C[p+q+2]) * w[q-p], from strided views of the 1-D arrays
+    # lane[p, q] = (C[|q-p|] - C[p+q+2]) * w[q-p], from strided views of the 1-D arrays
     toeplitz = sliding_window_view(weights, m)[::-1]
     hankel = sliding_window_view(np.ldexp(counts[2 : 2 * m + 1], half), m)
     leading = sliding_window_view(np.ldexp(along, half) * weights, m)[::-1]
-    np.multiply(hankel, toeplitz, out=out)
-    np.subtract(leading, out, out=out)
+    buffer = np.empty((_block_rows(m), m), dtype=complex)
+    def rows(s: slice) -> np.ndarray:
+        block = np.multiply(hankel[s], toeplitz[s], out=buffer[: s.stop - s.start])
+        return np.subtract(leading[s], block, out=block)
+    return rows
 
 
 def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
@@ -263,7 +267,7 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     spec = req.spec
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
-    return _by_lanes(spec.n, lambda m, view: _walk_lane(m, spec, req.r, view))
+    return _by_lanes(spec.n, lambda m: _walk_lane(m, spec, req.r))
 
 
 def power_via_spectral(req: PowerRequest) -> np.ndarray:
@@ -272,4 +276,4 @@ def power_via_spectral(req: PowerRequest) -> np.ndarray:
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
     derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
-    return _by_lanes(spec.n, lambda m, view: np.copyto(view, _node_sum_lane(m, derived, req.r)))
+    return _by_lanes(spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__)

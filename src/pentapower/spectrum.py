@@ -3,8 +3,8 @@
 The matrices treated here have a single constant band at offset +2 (value a)
 and one at offset -2 (value b); everything else, including the main
 diagonal, is zero. Entries at odd and even index positions never mix, so
-each matrix splits into two interleaved "lanes" and every spectral object
-below is assembled lane by lane.
+each matrix splits into two interleaved "lanes" and every n x n object is
+assembled lane by lane, in row blocks, by _by_lanes.
 
 All eigenvalues have the form 2*sqrt(ab)*cos(angle) where the angles are
 fixed rational multiples of pi. The normalised nodes cos(angle) are real
@@ -131,14 +131,21 @@ def _lane_size(n: int, lane: int) -> int:
     return (n + 1 - lane) // 2
 
 
-def _by_lanes(n: int, fill) -> np.ndarray:
-    """Zero n x n matrix whose size-m lanes fill(m, view) writes; an even order's lanes are equal."""
+def _block_rows(m: int) -> int:
+    # about 2**16 complex entries (1 MiB): a block stays in cache while it is written to every lane
+    return min(m, max(1, 2**16 // m))
+
+
+def _by_lanes(n: int, lane) -> np.ndarray:
+    """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call."""
     out = np.zeros((n, n), dtype=complex)
-    fill(_lane_size(n, 0), out[0::2, 0::2])
-    if n % 2:
-        fill(_lane_size(n, 1), out[1::2, 1::2])
-    else:
-        out[1::2, 1::2] = out[0::2, 0::2]
+    views = [(_lane_size(n, idx), out[idx::2, idx::2]) for idx in (0, 1)]
+    for m in dict.fromkeys(size for size, _ in views):  # lane 0's size first; an even order's lanes share it
+        rows, step, targets = lane(m), _block_rows(m), [view for size, view in views if size == m]
+        for start in range(0, m, step):
+            values = rows(block := slice(start, min(start + step, m)))
+            for view in targets:
+                view[block] = values
     return out
 
 
@@ -205,8 +212,8 @@ def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
     tables = {m: _lane_tables(m, m, derived) for m in {_lane_size(spec.n, 0), _lane_size(spec.n, 1)}}
     return SpectralDecomposition(
         eigenvalues=_eigenvalues(spec, branch_flip),
-        transform=_by_lanes(spec.n, lambda m, view: np.copyto(view, tables[m][2])),
-        inverse_transform=_by_lanes(spec.n, lambda m, view: np.copyto(view, tables[m][1][:, None] * tables[m][3])),
+        transform=_by_lanes(spec.n, lambda m: tables[m][2].__getitem__),
+        inverse_transform=_by_lanes(spec.n, lambda m: (tables[m][1][:, None] * tables[m][3]).__getitem__),
         parity="even" if spec.is_even else "odd",
     )
 

@@ -211,12 +211,17 @@ class TestPowerCommand:
         assert result.stdout == ""
         assert "node sum for A**1026 has eigenvalue powers beyond the double range" in result.stderr
 
-    @pytest.mark.parametrize("command", ["power", "verify", "bench"])
+    @pytest.mark.parametrize("command", ["power", "verify", "bench", "det"])
     def test_order_beyond_memory_exits_three(self, runner, command):
-        # 16 * 10**14 bytes: refused before any n x n array is allocated
-        result = runner.invoke(cli, [command, "--n", "10000000", "--r", "2"])
+        # 16 * 10**14 bytes per array at n = 10**7: refused before any n x n array is allocated;
+        # det holds two, the dense matrix and the LU's working copy
+        if command == "det":
+            args, needed = ["det", "--t", "2500000", "--x", "1"], "3200000000000000 bytes"
+        else:
+            args, needed = [command, "--n", "10000000", "--r", "2"], "1600000000000000 bytes"
+        result = runner.invoke(cli, args)
         assert result.exit_code == 3
-        assert "1600000000000000 bytes" in result.stderr
+        assert needed in result.stderr
 
     def test_usage_errors_exit_two(self, runner):
         for args in (

@@ -1,3 +1,6 @@
+import cmath
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,10 @@ from pentapower import (
 from pentapower.oracle import band_pairs
 from pentapower.power import _MODES_FROM
 from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size
+
+
+# |a| = |b|: the node sum resolves large orders
+EQUAL_MODULI = (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j))
 
 
 def _request(n, a, b, r, flip=False):
@@ -238,6 +245,23 @@ class TestPowerMatrix:
         with pytest.raises(ValueError):
             _request(4, 1, 1, -1)
 
+    @pytest.mark.parametrize("n", [2048, 2047])
+    def test_assembly_holds_one_block_beside_the_result(self, n):
+        # a whole-lane temporary (16 MiB at n = 2048) would not fit in 4 MiB
+        tracemalloc.start()
+        try:
+            result = power_matrix(_request(n, 0.5, 0.5j, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes <= 4 * 2**20
+
+    @pytest.mark.parametrize("n", [3, 600, 601])
+    @pytest.mark.parametrize("r", [7, 301])
+    def test_lane_blocks_match_oracle(self, n, r):
+        # a size-300 lane is written as a 218-row block and an 82-row block; n = 3 has a size-1 lane
+        assert _deviation(n, *EQUAL_MODULI, r) <= 1e-12
+
 
 class TestSpectralRoute:
     def test_r_zero_is_identity(self):
@@ -294,6 +318,12 @@ class TestSpectralRoute:
         closed = power_matrix(_request(n, band, band, 1))
         spectral = power_via_spectral(_request(n, band, band, 1))
         assert np.max(np.abs(spectral - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("n", [600, 601])
+    def test_agrees_with_closed_form_across_lane_blocks(self, n):
+        closed = power_matrix(_request(n, *EQUAL_MODULI, 301))
+        spectral = power_via_spectral(_request(n, *EQUAL_MODULI, 301))
+        assert np.max(np.abs(closed - spectral)) <= 1e-11 * np.max(np.abs(closed))
 
     def test_unresolvable_sum_is_refused(self):
         # the sqrt(b/a)**(p-q) node sum missed this case by 1.2e28 of the scale

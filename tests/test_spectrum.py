@@ -170,6 +170,15 @@ class TestTransforms:
             assert sim <= 1e-9
             assert inv <= 1e-10
 
+    @pytest.mark.parametrize("n", [600, 601])
+    def test_residuals_across_lane_blocks(self, n):
+        # a size-300 lane is written as a 218-row block and an 82-row block
+        spec = MatrixSpec(n=n, a=1.25 * cmath.exp(0.4j), b=1.25 * cmath.exp(-1.1j))
+        build = transform_even if n % 2 == 0 else transform_odd
+        sim, inv = _residuals(spec, build(spec))
+        assert sim <= 1e-11
+        assert inv <= 1e-11
+
     def test_decomposition_arrays_are_frozen(self):
         decomposition = transform_even(MatrixSpec(n=4, a=1, b=1))
         with pytest.raises(ValueError):
