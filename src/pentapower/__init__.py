@@ -1,13 +1,13 @@
 """Closed-form integer powers of complex two-band pentadiagonal Toeplitz matrices.
 
 The matrices have value a on the +2 diagonal and b on the -2 diagonal,
-nothing anywhere else. Powers, eigenvalues and diagonalising transforms
-are available in closed form via Chebyshev polynomials of the second
-kind, and every fast path can be checked against a brute-force dense
-oracle shipped alongside.
+nothing anywhere else. The fast power path counts walks on each lane's
+path graph and weights them by a**u * b**v; eigenvalues, diagonalising
+transforms and the paper's per-entry sums over Chebyshev polynomials of
+the second kind are the referees, alongside a brute-force dense oracle.
 """
 
-from .chebyshev import chebyshev_u, chebyshev_u_sequence, fibonacci_poly, ipow
+from .chebyshev import chebyshev_u_sequence, fibonacci_poly, ipow
 from .oracle import (
     VerificationReport,
     build_dense,
@@ -28,19 +28,16 @@ from .spectrum import (
     DerivedScalars,
     MatrixSpec,
     SpectralDecomposition,
-    char_function,
     eigenvalues_even,
     eigenvalues_odd,
     transform_even,
     transform_odd,
-    tridiag_charpoly,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "chebyshev_u",
     "chebyshev_u_sequence",
     "fibonacci_poly",
     "ipow",
@@ -51,8 +48,6 @@ __all__ = [
     "eigenvalues_odd",
     "transform_even",
     "transform_odd",
-    "tridiag_charpoly",
-    "char_function",
     "PowerRequest",
     "power_entry_even",
     "power_entry_odd",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 
-__all__ = ["chebyshev_u", "chebyshev_u_sequence", "fibonacci_poly", "ipow"]
+__all__ = ["chebyshev_u_sequence", "fibonacci_poly", "ipow"]
 
 
 def _as_finite_complex(x) -> complex:
@@ -26,13 +26,8 @@ def _check_order(m: int) -> int:
     return m
 
 
-def chebyshev_u(m: int, x) -> complex:
-    """U_m(x) with U_0 = 1, U_1 = 2x, U_{k+1} = 2x*U_k - U_{k-1}."""
-    return chebyshev_u_sequence(m, x)[-1]
-
-
 def chebyshev_u_sequence(m_max: int, x) -> list[complex]:
-    """[U_0(x), ..., U_{m_max}(x)], each element bit-identical to chebyshev_u(k, x)."""
+    """[U_0(x), ..., U_{m_max}(x)] with U_0 = 1, U_1 = 2x, U_{k+1} = 2x*U_k - U_{k-1}."""
     m_max = _check_order(m_max)
     x = _as_finite_complex(x)
     values = [1 + 0j]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import chebyshev_u, chebyshev_u_sequence
+from .chebyshev import chebyshev_u_sequence
 
 __all__ = [
     "MatrixSpec",
@@ -29,8 +29,6 @@ __all__ = [
     "eigenvalues_odd",
     "transform_even",
     "transform_odd",
-    "tridiag_charpoly",
-    "char_function",
 ]
 
 
@@ -104,7 +102,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     transform: np.ndarray
     inverse_transform: np.ndarray
-    parity: str
 
     def __post_init__(self):
         for array in (self.eigenvalues, self.transform, self.inverse_transform):
@@ -214,7 +211,6 @@ def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
         eigenvalues=_eigenvalues(spec, branch_flip),
         transform=_by_lanes(spec.n, lambda m: tables[m][2].__getitem__),
         inverse_transform=_by_lanes(spec.n, lambda m: (tables[m][1][:, None] * tables[m][3]).__getitem__),
-        parity="even" if spec.is_even else "odd",
     )
 
 
@@ -238,32 +234,3 @@ def transform_odd(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDec
     """
     _require_odd(spec)
     return _transform(spec, branch_flip)
-
-
-def tridiag_charpoly(order: int, spec: MatrixSpec, x) -> complex:
-    """Determinant of the order-sized tridiagonal matrix with diagonal x and
-    off-diagonal product a*b, by the recurrence p_k = x*p_{k-1} - ab*p_{k-2}.
-    """
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    x = complex(x)
-    ab = spec.a * spec.b
-    prev = 1 + 0j
-    if order == 0:
-        return prev
-    cur = x
-    for _ in range(order - 1):
-        prev, cur = cur, x * cur - ab * prev
-    return cur
-
-
-def char_function(spec: MatrixSpec, lam) -> complex:
-    """Normalised characteristic function: zero exactly on the spectrum.
-
-    The value differs from det(lam*I - A) by a lam-independent constant
-    factor; only the root set and that constancy are contractual.
-    """
-    lam, sqrt_ab = complex(lam), DerivedScalars.from_spec(spec).sqrt_ab
-    z = complex(lam.real / 2, lam.imag / 2) / sqrt_ab  # halving lam is exact; doubling sqrt(ab) may overflow
-    return chebyshev_u(_lane_size(spec.n, 0), z) * chebyshev_u(_lane_size(spec.n, 1), z)

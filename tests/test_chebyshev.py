@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from pentapower import chebyshev_u, chebyshev_u_sequence, fibonacci_poly, ipow
+from pentapower import chebyshev_u_sequence, fibonacci_poly, ipow
 
 
 def test_u0_is_one_anywhere():
-    assert chebyshev_u(0, 0.7 + 0.2j) == 1
+    assert chebyshev_u_sequence(0, 0.7 + 0.2j)[-1] == 1
 
 
 def test_u_at_one_counts_up():
     # U_m(1) = m + 1
-    assert chebyshev_u(5, 1) == 6
+    assert chebyshev_u_sequence(5, 1)[-1] == 6
     for m in range(10):
-        assert chebyshev_u(m, 1) == pytest.approx(m + 1)
+        assert chebyshev_u_sequence(m, 1)[-1] == pytest.approx(m + 1)
 
 
 def test_u3_at_half():
     # U_3(x) = 8x^3 - 4x, so U_3(0.5) = 1 - 2 = -1
-    assert chebyshev_u(3, 0.5) == pytest.approx(-1)
+    assert chebyshev_u_sequence(3, 0.5)[-1] == pytest.approx(-1)
 
 
 def test_sequence_small_cases():
@@ -34,7 +34,7 @@ def test_sequence_matches_pointwise_bitwise():
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         seq = chebyshev_u_sequence(40, x)
         for m, value in enumerate(seq):
-            assert value == chebyshev_u(m, x)
+            assert value == chebyshev_u_sequence(m, x)[-1]
 
 
 def test_recurrence_consistency():
@@ -44,8 +44,12 @@ def test_recurrence_consistency():
         if abs(x) > 2:
             x = x / abs(x) * 2
         for m in range(2, 65):
-            residual = chebyshev_u(m, x) - 2 * x * chebyshev_u(m - 1, x) + chebyshev_u(m - 2, x)
-            scale = max(1.0, abs(chebyshev_u(m, x)))
+            residual = (
+                chebyshev_u_sequence(m, x)[-1]
+                - 2 * x * chebyshev_u_sequence(m - 1, x)[-1]
+                + chebyshev_u_sequence(m - 2, x)[-1]
+            )
+            scale = max(1.0, abs(chebyshev_u_sequence(m, x)[-1]))
             assert abs(residual) <= 1e-12 * scale
 
 
@@ -54,7 +58,7 @@ def test_trigonometric_identity_pins_convention():
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
     for m in range(33):
         for theta in thetas:
-            value = chebyshev_u(m, math.cos(theta))
+            value = chebyshev_u_sequence(m, math.cos(theta))[-1]
             assert abs(value - math.sin((m + 1) * theta) / math.sin(theta)) <= 1e-10
 
 
@@ -77,13 +81,13 @@ def test_fibonacci_chebyshev_bridge():
         x = rng.uniform(-2, 2)
         for m in range(1, 21):
             lhs = fibonacci_poly(m, x)
-            rhs = ipow(-1j, m - 1) * chebyshev_u(m - 1, 1j * x / 2)
+            rhs = ipow(-1j, m - 1) * chebyshev_u_sequence(m - 1, 1j * x / 2)[-1]
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_rejects_negative_order():
     with pytest.raises(ValueError):
-        chebyshev_u(-1, 0.5)
+        chebyshev_u_sequence(-1, 0.5)[-1]
     with pytest.raises(ValueError):
         chebyshev_u_sequence(-2, 0.5)
     with pytest.raises(ValueError):
@@ -92,9 +96,9 @@ def test_rejects_negative_order():
 
 def test_rejects_non_finite_argument():
     with pytest.raises(ValueError):
-        chebyshev_u(3, float("nan"))
+        chebyshev_u_sequence(3, float("nan"))[-1]
     with pytest.raises(ValueError):
-        chebyshev_u(3, complex(1, float("inf")))
+        chebyshev_u_sequence(3, complex(1, float("inf")))[-1]
 
 
 def test_ipow_matches_reference():

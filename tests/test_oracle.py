@@ -141,6 +141,22 @@ class TestDeterminant:
                 for value in values:
                     assert abs(determinant(value * np.eye(n) - dense)) <= 1e-6 * reference
 
+    @pytest.mark.parametrize("case", ["band", "far_corner", "corollary"])
+    def test_window_follows_the_input(self, case):
+        # the elimination window comes from the input's non-zero diagonals: two below and
+        # two above for the shifted band matrix, the whole matrix once [n-1, 0] is set.
+        # The order is odd so that both corner indices sit in one lane: at an even order
+        # the corner joins the two lanes, the matrix is block triangular and the entry
+        # leaves the determinant unchanged. Here it scales it by about 1e50.
+        if case == "corollary":
+            assert determinant_corollary_check(125, 1 + 1j).passed
+            return
+        n = 501
+        matrix = (1 + 1j) * np.eye(n) - build_dense(MatrixSpec(n=n, a=2, b=0.1j))
+        if case == "far_corner":
+            matrix[n - 1, 0] = 0.75 - 0.25j
+        assert determinant(matrix) == pytest.approx(np.linalg.det(matrix), rel=1e-10)
+
 
 class TestCorollaryCheck:
     def test_small_instances(self):

@@ -9,15 +9,11 @@ from pentapower import (
     DerivedScalars,
     MatrixSpec,
     build_dense,
-    char_function,
     determinant,
     eigenvalues_even,
     eigenvalues_odd,
-    ipow,
-    chebyshev_u,
     transform_even,
     transform_odd,
-    tridiag_charpoly,
 )
 from pentapower.oracle import band_pairs
 
@@ -183,52 +179,3 @@ class TestTransforms:
         decomposition = transform_even(MatrixSpec(n=4, a=1, b=1))
         with pytest.raises(ValueError):
             decomposition.transform[0, 0] = 5
-
-
-class TestCharacteristicMachinery:
-    def test_charpoly_initial_conditions(self):
-        spec = MatrixSpec(n=4, a=2, b=3)
-        assert tridiag_charpoly(0, spec, 5) == 1
-        assert tridiag_charpoly(1, spec, 5) == 5
-        assert tridiag_charpoly(2, spec, 1) == pytest.approx(1 - 6)
-
-    def test_charpoly_matches_closed_form(self):
-        for a, b in band_pairs(count=3):
-            spec = MatrixSpec(n=4, a=a, b=b)
-            derived = DerivedScalars.from_spec(spec)
-            rng = np.random.default_rng(23)
-            for order in range(9):
-                x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                direct = tridiag_charpoly(order, spec, x)
-                closed = ipow(derived.sqrt_ab, order) * chebyshev_u(
-                    order, x / (2 * derived.sqrt_ab)
-                )
-                assert direct == pytest.approx(closed, rel=1e-10, abs=1e-12)
-
-    def test_vanishes_on_spectrum(self):
-        for a, b in band_pairs(count=3):
-            for n in range(3, 13):
-                spec = MatrixSpec(n=n, a=a, b=b)
-                values = (
-                    eigenvalues_even(spec) if n % 2 == 0 else eigenvalues_odd(spec)
-                )
-                for value in values:
-                    assert abs(char_function(spec, value)) <= 1e-8
-
-    def test_trivial_roots(self):
-        assert abs(char_function(MatrixSpec(n=4, a=1, b=1), 1)) <= 1e-12
-        assert abs(char_function(MatrixSpec(n=5, a=1, b=1), math.sqrt(2))) <= 1e-12
-
-    def test_ratio_to_determinant_is_constant(self):
-        # the normalised function differs from det(lam I - A) by a factor
-        # that must not depend on lam
-        spec = MatrixSpec(n=6, a=2, b=1 + 1j)
-        dense = build_dense(spec)
-
-        def ratio(lam):
-            value = char_function(spec, lam)
-            assert abs(value) > 1e-8
-            return determinant(lam * np.eye(6) - dense) / value
-
-        assert ratio(1) == pytest.approx(ratio(2), rel=1e-10)
-        assert ratio(1) == pytest.approx(ratio(3 + 2j), rel=1e-10)
