@@ -7,7 +7,7 @@ transforms and the paper's per-entry sums over Chebyshev polynomials of
 the second kind are the referees, alongside a brute-force dense oracle.
 """
 
-from .chebyshev import chebyshev_u_sequence, fibonacci_poly, ipow
+from .chebyshev import chebyshev_u_sequence, ipow
 from .oracle import (
     VerificationReport,
     build_dense,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "chebyshev_u_sequence",
-    "fibonacci_poly",
     "ipow",
     "MatrixSpec",
     "DerivedScalars",

@@ -20,12 +20,14 @@ that _by_lanes writes to every lane of its size in one pass. C comes from:
   with mu_k = (x_k / x_1)**r, x_k = cos(k*pi/(m+1)), k = 1..m, by one real
   FFT (modes 0 and m + 1 cancel in W_r and are left out).
 
-The log binomials lose accuracy as r grows (<= 1e-11 up to m*m/16, 1.6e-8
-at m*m); the mode sum is accurate only once few modes dominate (0.15 of the
-scale off at m*m/64, <= 2.5e-10 at m*m/16): hence the crossover. Counts and
-weights carry a binary exponent outside the double range, so neither over-
-or underflows while their products fit it; a lane whose significant entries
-need more than one shared exponent is refused.
+The log binomials lose accuracy as r grows (at n = 2048, a = 1, b = 0.25:
+1.7e-11 of the scale at m*m/64, 8.1e-10 at m*m/16 and 1.6e-8 at r = 131071
+= m*m/8 - 1, open ROADMAP item 1); the mode sum is accurate only once few
+modes dominate (0.15 of the scale off at m*m/64, <= 2.5e-10 at m*m/16):
+hence the crossover. Counts and weights carry a binary exponent outside
+the double range, so neither over- or underflows while their products fit
+it; a lane whose significant entries need more than one shared exponent is
+refused.
 
 The reference routes (power_entry_even / _odd, power_via_spectral) read
 one lane routine, _node_sum_lane, the paper's node sum: entry (p, q) =
@@ -70,7 +72,7 @@ __all__ = [
     "power_via_spectral",
 ]
 
-# r >= m*m/8 counts walks by path modes, below by log binomials: on non-normal bands the modes err by 0.15-0.85 of scale at m*m/64 and <= 2.5e-10 at m*m/16, the log binomials by <= 1e-11 up to m*m/16
+# r >= m*m/8 counts walks by path modes, below by log binomials: on non-normal bands the modes err by 0.15-0.85 of scale at m*m/64 and <= 2.5e-10 at m*m/16, the log binomials by 8.1e-10 at m*m/16 and 1.6e-8 at r = 131071 = m*m/8 - 1 (n = 2048, a = 1, b = 0.25; open ROADMAP item 1)
 _MODES_FROM = 8
 
 
@@ -258,8 +260,8 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     """The full r-th power from the walk counts of each lane.
 
     Work is O(n^2) plus O(min(r, n^2)) for the counts, so runtime is
-    essentially independent of r. Raises OverflowError, before filling a
-    lane, when its largest entry exceeds the double range, or when entries
+    essentially independent of r. Raises OverflowError, before filling any
+    lane, when a lane's largest entry exceeds the double range, or when entries
     that matter lie too far apart for one shared exponent; entries below
     the double range round to 0. branch_flip has no effect: no square root
     is taken.

@@ -134,11 +134,13 @@ def _block_rows(m: int) -> int:
 
 
 def _by_lanes(n: int, lane) -> np.ndarray:
-    """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call."""
+    """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call.
+    Every lane(m) is called, lane 0's first, before the matrix is allocated and any block filled."""
+    sizes = [_lane_size(n, idx) for idx in (0, 1)]
+    plans = {m: lane(m) for m in dict.fromkeys(sizes)}  # an even order's lanes share one plan
     out = np.zeros((n, n), dtype=complex)
-    views = [(_lane_size(n, idx), out[idx::2, idx::2]) for idx in (0, 1)]
-    for m in dict.fromkeys(size for size, _ in views):  # lane 0's size first; an even order's lanes share it
-        rows, step, targets = lane(m), _block_rows(m), [view for size, view in views if size == m]
+    for m, rows in plans.items():
+        step, targets = _block_rows(m), [out[idx::2, idx::2] for idx in (0, 1) if sizes[idx] == m]
         for start in range(0, m, step):
             values = rows(block := slice(start, min(start + step, m)))
             for view in targets:

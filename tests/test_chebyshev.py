@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pentapower import chebyshev_u_sequence, fibonacci_poly, ipow
+from pentapower import chebyshev_u_sequence, ipow
 
 
 def test_u0_is_one_anywhere():
@@ -62,42 +62,25 @@ def test_trigonometric_identity_pins_convention():
             assert abs(value - math.sin((m + 1) * theta) / math.sin(theta)) <= 1e-10
 
 
-def test_fibonacci_initial_values():
-    assert fibonacci_poly(0, 123.4) == 0
-    assert fibonacci_poly(1, 123.4) == 1
-    assert fibonacci_poly(2, 3 + 1j) == 3 + 1j
-
-
-def test_fibonacci_numbers_at_one():
-    expected = [0, 1, 1, 2, 3, 5, 8, 13, 21]
-    for m, value in enumerate(expected):
-        assert fibonacci_poly(m, 1) == value
-
-
 def test_fibonacci_chebyshev_bridge():
-    # F_m(x) = (-i)^(m-1) * U_{m-1}(i x / 2), a classical cross-check
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        x = rng.uniform(-2, 2)
-        for m in range(1, 21):
-            lhs = fibonacci_poly(m, x)
-            rhs = ipow(-1j, m - 1) * chebyshev_u_sequence(m - 1, 1j * x / 2)[-1]
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    # U_{m-1}(i/2) = i**(m-1) * F_m, F_m the Fibonacci numbers: exact, and U at a non-real argument
+    fib = [0, 1]
+    for m in range(1, 11):
+        assert chebyshev_u_sequence(m - 1, 0.5j)[-1] == 1j ** (m - 1) * fib[m]
+        fib.append(fib[-1] + fib[-2])
 
 
 def test_rejects_negative_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^polynomial order must be >= 0, got -1$"):
         chebyshev_u_sequence(-1, 0.5)[-1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^polynomial order must be >= 0, got -2$"):
         chebyshev_u_sequence(-2, 0.5)
-    with pytest.raises(ValueError):
-        fibonacci_poly(-1, 0.5)
 
 
 def test_rejects_non_finite_argument():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^argument must be finite, got \(nan\+0j\)$"):
         chebyshev_u_sequence(3, float("nan"))[-1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^argument must be finite, got \(1\+infj\)$"):
         chebyshev_u_sequence(3, complex(1, float("inf")))[-1]
 
 

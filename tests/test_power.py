@@ -292,6 +292,16 @@ class TestSpectralRoute:
                     scale = max(1.0, np.max(np.abs(closed)))
                     assert np.max(np.abs(closed - spectral)) <= 1e-8 * scale
 
+    def test_branch_flip_changes_nothing(self):
+        # criterion 7 on a route that takes sqrt(ab) and sqrt(b/a)
+        for n in range(3, 17):
+            for a, b in band_pairs():
+                for r in range(1, 11):
+                    closed = power_matrix(_request(n, a, b, r))
+                    plain = power_via_spectral(_request(n, a, b, r))
+                    flipped = power_via_spectral(_request(n, a, b, r, flip=True))
+                    assert np.max(np.abs(plain - flipped)) <= 1e-10 * np.max(np.abs(closed))
+
     def test_entries_read_the_same_lane_sum(self):
         for n, entry in ((8, power_entry_even), (9, power_entry_odd)):
             for a, b in band_pairs(count=2):

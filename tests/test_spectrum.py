@@ -16,6 +16,7 @@ from pentapower import (
     transform_odd,
 )
 from pentapower.oracle import band_pairs
+from pentapower.spectrum import _by_lanes
 
 
 def _residuals(spec, decomposition):
@@ -179,3 +180,32 @@ class TestTransforms:
         decomposition = transform_even(MatrixSpec(n=4, a=1, b=1))
         with pytest.raises(ValueError):
             decomposition.transform[0, 0] = 5
+
+
+class TestLaneAssembly:
+    @staticmethod
+    def _recording(calls, refuse=None):
+        def lane(m):
+            calls.append(("plan", m))
+            if m == refuse:
+                raise OverflowError(f"lane of size {m} refused")
+            return lambda s: calls.append(("rows", m)) or np.full((s.stop - s.start, m), m)
+        return lane
+
+    def test_every_lane_is_planned_before_any_is_filled(self):
+        calls = []
+        out = _by_lanes(7, self._recording(calls))
+        assert calls == [("plan", 4), ("plan", 3), ("rows", 4), ("rows", 3)]
+        assert np.all(out[0::2, 0::2] == 4) and np.all(out[1::2, 1::2] == 3)
+
+    def test_an_even_order_plans_its_shared_lane_once(self):
+        calls = []
+        out = _by_lanes(6, self._recording(calls))
+        assert calls == [("plan", 3), ("rows", 3)]
+        assert np.all(out[0::2, 0::2] == 3) and np.all(out[1::2, 1::2] == 3)
+
+    def test_a_refused_lane_leaves_every_lane_unfilled(self):
+        calls = []
+        with pytest.raises(OverflowError, match="size 3"):
+            _by_lanes(7, self._recording(calls, refuse=3))
+        assert calls == [("plan", 4), ("plan", 3)]

@@ -1,12 +1,14 @@
 """The benchmark's traced run (perfbench/spans.py) wraps names that it looks up on
-pentapower's modules; a refactor that drops or renames one must fail here."""
+pentapower's modules, and each module exports the names in its __all__; a refactor
+that drops or renames one must fail here."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
-from pentapower import MatrixSpec, PowerRequest, chebyshev, cli, oracle, power
+import pentapower
+from pentapower import MatrixSpec, PowerRequest, chebyshev, cli, oracle, power, spectrum
 
 
 @pytest.fixture()
@@ -34,3 +36,8 @@ def test_every_hooked_name_resolves_and_is_restored(spans):
     recorded = len(tracer.spans)
     oracle.naive_power(spec, 3)
     assert len(tracer.spans) == recorded
+
+
+@pytest.mark.parametrize("module", [pentapower, chebyshev, spectrum, power, oracle], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
