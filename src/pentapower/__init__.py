@@ -28,8 +28,6 @@ from .spectrum import (
     DerivedScalars,
     MatrixSpec,
     SpectralDecomposition,
-    eigenvalues_even,
-    eigenvalues_odd,
     transform_even,
     transform_odd,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "MatrixSpec",
     "DerivedScalars",
     "SpectralDecomposition",
-    "eigenvalues_even",
-    "eigenvalues_odd",
     "transform_even",
     "transform_odd",
     "PowerRequest",

@@ -1,8 +1,9 @@
-"""Chebyshev polynomials of the second kind and integer powers of complex scalars.
+"""Chebyshev polynomials of the second kind and integer powers by repeated squaring.
 
 A plain forward three-term recurrence on double-precision complex scalars.
 Every argument that shows up downstream is a cosine (possibly scaled), so
-the recurrence is run forward without any stabilisation tricks.
+the recurrence is run forward without any stabilisation tricks. ipow works
+elementwise on arrays and takes any Python int exponent >= 0, past int64 too.
 """
 
 from __future__ import annotations
@@ -31,18 +32,15 @@ def chebyshev_u_sequence(m_max: int, x) -> list[complex]:
     return values
 
 
-def ipow(base, exponent: int) -> complex:
-    """Integer power of a complex scalar by repeated squaring (never exp/log)."""
-    exponent = int(exponent)
-    base = complex(base)
+def ipow(base, exponent: int):
+    """base**exponent, exponent >= 0, by repeated squaring (never exp/log); elementwise on an array."""
     if exponent < 0:
-        base = 1 / base
-        exponent = -exponent
-    result = 1 + 0j
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    result = base**0
     while exponent:
         if exponent & 1:
-            result *= base
+            result = result * base
         exponent >>= 1
         if exponent:
-            base *= base
+            base = base * base
     return result

@@ -30,32 +30,16 @@ from .spectrum import MatrixSpec, _eigenvalues
 
 _REAL = r"[+-]?\d+(?:\.\d+)?"
 _IMAG = r"[+-]?(?:\d+(?:\.\d+)?)?i"
-_COMPLEX_RE = re.compile(
-    rf"^(?:(?P<real_only>{_REAL})|(?P<imag_only>{_IMAG})"
-    rf"|(?P<real>{_REAL})(?P<sign>[+-])(?P<imag>{_IMAG}))$"
-)
-
-
-def _imag_value(token: str) -> float:
-    body = token[:-1]
-    if body in ("", "+"):
-        return 1.0
-    if body == "-":
-        return -1.0
-    return float(body)
+_COMPLEX_RE = re.compile(rf"^(?:{_REAL}|{_IMAG}|{_REAL}[+-]{_IMAG})$")
 
 
 def parse_complex(text: str) -> complex:
     """Parse a complex literal; raises ValueError on anything off-grammar."""
-    match = _COMPLEX_RE.match(text)
-    if match is None:
+    if _COMPLEX_RE.match(text) is None:
         raise ValueError(f"invalid complex literal: {text!r}")
-    if match["real_only"] is not None:
-        return complex(float(match["real_only"]), 0.0)
-    if match["imag_only"] is not None:
-        return complex(0.0, _imag_value(match["imag_only"]))
-    sign = 1.0 if match["sign"] == "+" else -1.0
-    return complex(float(match["real"]), sign * _imag_value(match["imag"]))
+    # complex() takes one sign between the parts and spells the unit j
+    merged = re.sub(r"[+-]{2}", lambda signs: "+" if signs[0][0] == signs[0][1] else "-", text)
+    return complex(merged.replace("i", "j"))
 
 
 def _format_float(value: float) -> str:

@@ -119,18 +119,6 @@ def _scaled_pow(z: complex, k: int) -> tuple[complex, int]:
     return result, exponent
 
 
-def _pow_array(base: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise base**k by repeated squaring, for any Python int k >= 0."""
-    result, base = np.ones_like(base), base.copy()
-    while k:
-        if k & 1:
-            result *= base
-        k >>= 1
-        if k:
-            base *= base
-    return result
-
-
 def _walk_counts(m: int, r: int) -> tuple[np.ndarray, int]:
     """(C, e): C[d] * 2**e, d = 0 .. 2m+1, counts the length-r walks from 0 to d on a
     cycle of 2(m + 1) vertices, up to terms that cancel in C[|q-p|] - C[p+q+2]."""
@@ -145,7 +133,7 @@ def _walk_counts(m: int, r: int) -> tuple[np.ndarray, int]:
     half = _even_nodes(2 * m)[: m // 2]
     nodes = np.concatenate((half, np.zeros(m % 2), -half[::-1]))
     modes = np.zeros(m + 2)
-    modes[1 : m + 1] = _pow_array(nodes / nodes[0], r)
+    modes[1 : m + 1] = ipow(nodes / nodes[0], r)
     scale, e = _scaled_pow(2.0 * nodes[0], r)
     return np.fft.irfft(modes, size) * scale.real, e
 

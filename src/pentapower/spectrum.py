@@ -25,8 +25,6 @@ __all__ = [
     "MatrixSpec",
     "DerivedScalars",
     "SpectralDecomposition",
-    "eigenvalues_even",
-    "eigenvalues_odd",
     "transform_even",
     "transform_odd",
 ]
@@ -163,18 +161,6 @@ def _eigenvalues(spec: MatrixSpec, branch_flip: bool = False) -> np.ndarray:
     the node is exact, and unlike doubling sqrt(ab) it cannot overflow before the node scales."""
     derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
     return derived.sqrt_ab * (2.0 * _index_nodes(spec.n))
-
-
-def eigenvalues_even(spec: MatrixSpec) -> np.ndarray:
-    """The n/2 distinct eigenvalues of an even-order matrix, each of multiplicity two."""
-    _require_even(spec)
-    return _eigenvalues(spec)[0::2]
-
-
-def eigenvalues_odd(spec: MatrixSpec) -> np.ndarray:
-    """All n simple eigenvalues of an odd-order matrix, in index order."""
-    _require_odd(spec)
-    return _eigenvalues(spec)
 
 
 def _int_powers(base: complex, count: int) -> np.ndarray:

@@ -46,6 +46,25 @@ class TestComplexLiterals:
         assert parse_complex(text) == expected
 
     @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("-0", (-0.0, 0.0)),
+            ("-0i", (0.0, -0.0)),
+            ("0-0i", (0.0, -0.0)),
+            ("-0+-0i", (-0.0, -0.0)),
+            ("1--i", (1.0, 1.0)),
+            ("1-+i", (1.0, -1.0)),
+            ("1++2.5i", (1.0, 2.5)),
+            ("007", (7.0, 0.0)),
+        ],
+    )
+    def test_signs_and_zeros(self, text, expected):
+        value = parse_complex(text)
+        signs = [math.copysign(1.0, part) for part in (value.real, value.imag)]
+        assert (value.real, value.imag) == expected
+        assert signs == [math.copysign(1.0, part) for part in expected]
+
+    @pytest.mark.parametrize(
         "text",
         ["", "1 + 2i", "2e3", "1+2j", "--3", "3.", ".5", "i5", "1i+2", "+", "abc"],
     )
@@ -61,6 +80,9 @@ class TestComplexLiterals:
     def test_round_trip(self, re_part, im_part):
         value = complex(re_part, im_part)
         assert parse_complex(format_complex(value)) == complex(re_part + 0.0, im_part + 0.0)
+
+    def test_parameter_type_passes_a_complex_through(self):
+        assert cli_module.ComplexValue().convert(1 + 2j, None, None) == 1 + 2j
 
 
 class TestPowerCommand:

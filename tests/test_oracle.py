@@ -8,13 +8,12 @@ from pentapower import (
     compare,
     determinant,
     determinant_corollary_check,
-    eigenvalues_even,
-    eigenvalues_odd,
     mat_mul,
     naive_power,
     oracle,
 )
 from pentapower.oracle import band_pairs
+from pentapower.spectrum import _eigenvalues
 
 
 class TestBuildDense:
@@ -53,6 +52,10 @@ class TestMatMul:
     def test_rejects_mismatched_orders(self):
         with pytest.raises(ValueError):
             mat_mul(np.eye(3), np.eye(4))
+
+    def test_rejects_a_non_square_left_operand(self):
+        with pytest.raises(ValueError, match=r"^left operand is not square: shape \(2, 3\)$"):
+            mat_mul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestNaivePower:
@@ -121,6 +124,10 @@ class TestDeterminant:
         matrix[1, 0] = 1
         assert determinant(matrix) == 0
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"^matrix is not square: shape \(2, 3\)$"):
+            determinant(np.ones((2, 3)))
+
     def test_multiplicative(self):
         pairs = band_pairs(count=4)
         for n in (3, 5, 8):
@@ -135,7 +142,7 @@ class TestDeterminant:
             for n in range(3, 13):
                 spec = MatrixSpec(n=n, a=a, b=b)
                 dense = build_dense(spec)
-                values = eigenvalues_even(spec) if n % 2 == 0 else eigenvalues_odd(spec)
+                values = _eigenvalues(spec)[0::2] if n % 2 == 0 else _eigenvalues(spec)
                 reference_point = 3.0 * abs(np.sqrt(complex(a * b)))
                 reference = abs(determinant(reference_point * np.eye(n) - dense))
                 for value in values:

@@ -10,13 +10,11 @@ from pentapower import (
     MatrixSpec,
     build_dense,
     determinant,
-    eigenvalues_even,
-    eigenvalues_odd,
     transform_even,
     transform_odd,
 )
 from pentapower.oracle import band_pairs
-from pentapower.spectrum import _by_lanes
+from pentapower.spectrum import _by_lanes, _eigenvalues
 
 
 def _residuals(spec, decomposition):
@@ -80,15 +78,15 @@ class TestDerivedScalars:
 
 class TestEigenvalues:
     def test_even_unit_bands(self):
-        assert_allclose(eigenvalues_even(MatrixSpec(n=4, a=1, b=1)), [1, -1], atol=1e-15)
+        assert_allclose(_eigenvalues(MatrixSpec(n=4, a=1, b=1))[0::2], [1, -1], atol=1e-15)
 
     def test_even_example_values(self):
-        values = eigenvalues_even(MatrixSpec(n=6, a=2, b=1 + 1j))
+        values = _eigenvalues(MatrixSpec(n=6, a=2, b=1 + 1j))[0::2]
         root = cmath.sqrt(4 + 4j)
         assert_allclose(values, [root, 0, -root], atol=1e-14)
 
     def test_even_n8_cosines(self):
-        values = eigenvalues_even(MatrixSpec(n=8, a=1, b=1))
+        values = _eigenvalues(MatrixSpec(n=8, a=1, b=1))[0::2]
         expected = [2 * math.cos(k * math.pi / 5) for k in range(1, 5)]
         assert_allclose(values, expected, atol=1e-14)
         # cross-check against the dense determinant: each value is a root
@@ -100,31 +98,31 @@ class TestEigenvalues:
 
     def test_odd_unit_bands(self):
         assert_allclose(
-            eigenvalues_odd(MatrixSpec(n=5, a=1, b=1)),
+            _eigenvalues(MatrixSpec(n=5, a=1, b=1)),
             [math.sqrt(2), 1, 0, -1, -math.sqrt(2)],
             atol=1e-14,
         )
-        assert_allclose(eigenvalues_odd(MatrixSpec(n=3, a=1, b=1)), [1, 0, -1], atol=1e-14)
+        assert_allclose(_eigenvalues(MatrixSpec(n=3, a=1, b=1)), [1, 0, -1], atol=1e-14)
 
     def test_odd_leading_value(self):
         spec = MatrixSpec(n=7, a=3, b=2)
-        values = eigenvalues_odd(spec)
+        values = _eigenvalues(spec)
         assert values[0] == pytest.approx(2 * math.sqrt(6) * math.cos(math.pi / 5), rel=1e-14)
         shifted = values[0] * np.eye(7) - build_dense(spec)
         reference = abs(determinant(3 * math.sqrt(6) * np.eye(7) - build_dense(spec)))
         assert abs(determinant(shifted)) <= 1e-6 * reference
 
     def test_parity_is_enforced(self):
-        with pytest.raises(ValueError):
-            eigenvalues_even(MatrixSpec(n=5, a=1, b=1))
-        with pytest.raises(ValueError):
-            eigenvalues_odd(MatrixSpec(n=6, a=1, b=1))
+        with pytest.raises(ValueError, match="^matrix order must be even, got 5$"):
+            transform_even(MatrixSpec(n=5, a=1, b=1))
+        with pytest.raises(ValueError, match="^matrix order must be odd, got 6$"):
+            transform_odd(MatrixSpec(n=6, a=1, b=1))
 
     def test_even_spectrum_negation_symmetric(self):
         for a, b in band_pairs():
             for n in (4, 6, 8, 10, 12):
                 spec = MatrixSpec(n=n, a=a, b=b)
-                values = eigenvalues_even(spec)
+                values = _eigenvalues(spec)[0::2]
                 scale = abs(2 * DerivedScalars.from_spec(spec).sqrt_ab)
                 order = np.lexsort((values.imag, values.real))
                 mirrored = np.lexsort(((-values).imag, (-values).real))
