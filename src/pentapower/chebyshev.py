@@ -1,27 +1,28 @@
 """Chebyshev polynomials of the second kind and integer powers by repeated squaring.
 
-A plain forward three-term recurrence on double-precision complex scalars.
+A plain forward three-term recurrence on double-precision complex values.
 Every argument that shows up downstream is a cosine (possibly scaled), so
-the recurrence is run forward without any stabilisation tricks. ipow works
-elementwise on arrays and takes any Python int exponent >= 0, past int64 too.
+the recurrence is run forward without any stabilisation tricks. Both work
+elementwise on arrays, with the values of their scalar calls (an array x gives
+one array per order); ipow takes any Python int exponent >= 0, past int64 too.
 """
 
 from __future__ import annotations
 
-import cmath
+import numpy as np
 
 __all__ = ["chebyshev_u_sequence", "ipow"]
 
 
-def chebyshev_u_sequence(m_max: int, x) -> list[complex]:
+def chebyshev_u_sequence(m_max: int, x) -> list:
     """[U_0(x), ..., U_{m_max}(x)] with U_0 = 1, U_1 = 2x, U_{k+1} = 2x*U_k - U_{k-1}."""
     m_max = int(m_max)
     if m_max < 0:
         raise ValueError(f"polynomial order must be >= 0, got {m_max}")
-    x = complex(x)
-    if not cmath.isfinite(x):
+    x = np.asarray(x, dtype=complex) if np.ndim(x) else complex(x)
+    if not np.isfinite(x).all():
         raise ValueError(f"argument must be finite, got {x!r}")
-    values = [1 + 0j]
+    values = [x**0]
     if m_max == 0:
         return values
     prev, cur = values[0], 2 * x

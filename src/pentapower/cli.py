@@ -30,12 +30,12 @@ from .spectrum import MatrixSpec, _eigenvalues
 
 _REAL = r"[+-]?\d+(?:\.\d+)?"
 _IMAG = r"[+-]?(?:\d+(?:\.\d+)?)?i"
-_COMPLEX_RE = re.compile(rf"^(?:{_REAL}|{_IMAG}|{_REAL}[+-]{_IMAG})$")
+_COMPLEX_RE = re.compile(rf"{_REAL}|{_IMAG}|{_REAL}[+-]{_IMAG}")
 
 
 def parse_complex(text: str) -> complex:
     """Parse a complex literal; raises ValueError on anything off-grammar."""
-    if _COMPLEX_RE.match(text) is None:
+    if _COMPLEX_RE.fullmatch(text) is None:
         raise ValueError(f"invalid complex literal: {text!r}")
     # complex() takes one sign between the parts and spells the unit j
     merged = re.sub(r"[+-]{2}", lambda signs: "+" if signs[0][0] == signs[0][1] else "-", text)

@@ -130,8 +130,7 @@ def _walk_counts(m: int, r: int) -> tuple[np.ndarray, int]:
         whole = math.floor(top)
         row = np.exp((logs - logs[r // 2]) + (top - whole) * math.log(2))
         return np.bincount((2 * np.arange(r + 1) - r) % size, weights=row, minlength=size), whole
-    half = _even_nodes(2 * m)[: m // 2]
-    nodes = np.concatenate((half, np.zeros(m % 2), -half[::-1]))
+    nodes = _even_nodes(2 * m)
     modes = np.zeros(m + 2)
     modes[1 : m + 1] = ipow(nodes / nodes[0], r)
     scale, e = _scaled_pow(2.0 * nodes[0], r)

@@ -107,10 +107,10 @@ class SpectralDecomposition:
 
 
 def _even_nodes(n: int) -> np.ndarray:
-    # cos(2*k*pi/(n+2)) for k = 1..n/2; with n = 2m these are the nodes
-    # cos(k*pi/(m+1)) of a size-m lane
-    k = np.arange(1, n // 2 + 1)
-    return np.cos(2.0 * k * np.pi / (n + 2))
+    # with n = 2m, the nodes cos(k*pi/(m+1)), k = 1..m, of a size-m lane: cos(2*k*pi/(n+2)) for
+    # k <= m // 2, an exact 0 in the middle of an odd m, then the first half negated in reverse
+    half = np.cos(2.0 * np.arange(1, n // 4 + 1) * np.pi / (n + 2))
+    return np.concatenate((half, np.zeros(n // 2 % 2), -half[::-1]))
 
 
 def _index_nodes(n: int) -> np.ndarray:
@@ -182,9 +182,7 @@ def _lane_tables(m: int, count: int, derived: DerivedScalars):
     """
     nodes = _even_nodes(2 * m)[:count]
     weights = 2.0 * (1.0 - nodes**2) / (m + 1)
-    cheb = np.array(
-        [chebyshev_u_sequence(m - 1, complex(x)) for x in nodes], dtype=complex
-    ).reshape(count, m).T
+    cheb = np.array(chebyshev_u_sequence(m - 1, nodes))
     up = _int_powers(derived.sqrt_alpha, m)
     down = _int_powers(1 / derived.sqrt_alpha, m)
     return nodes, weights, up[:, None] * cheb, down[None, :] * cheb.T

@@ -37,6 +37,17 @@ def test_sequence_matches_pointwise_bitwise():
             assert value == chebyshev_u_sequence(m, x)[-1]
 
 
+@pytest.mark.parametrize("m_max", [0, 1, 5, 40])
+def test_sequence_works_elementwise_on_arrays(m_max):
+    # the lane tables pass every node of a lane in one call
+    nodes = np.cos(np.random.default_rng(3).uniform(0, np.pi, 30))
+    rows = chebyshev_u_sequence(m_max, nodes)
+    assert len(rows) == m_max + 1
+    for order, row in enumerate(rows):
+        assert np.array_equal(row, [chebyshev_u_sequence(order, x)[-1] for x in nodes])
+    assert np.array(chebyshev_u_sequence(m_max, np.array([]))).shape == (m_max + 1, 0)
+
+
 def test_recurrence_consistency():
     rng = np.random.default_rng(11)
     for _ in range(20):

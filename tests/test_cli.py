@@ -66,7 +66,7 @@ class TestComplexLiterals:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1 + 2i", "2e3", "1+2j", "--3", "3.", ".5", "i5", "1i+2", "+", "abc"],
+        ["", "1 + 2i", "2e3", "1+2j", "--3", "3.", ".5", "i5", "1i+2", "+", "abc", "1\n", "1+i\n"],
     )
     def test_invalid_literals(self, text):
         with pytest.raises(ValueError):
@@ -80,6 +80,11 @@ class TestComplexLiterals:
     def test_round_trip(self, re_part, im_part):
         value = complex(re_part, im_part)
         assert parse_complex(format_complex(value)) == complex(re_part + 0.0, im_part + 0.0)
+
+    def test_a_trailing_newline_is_a_usage_error(self, runner):
+        result = runner.invoke(cli, ["eig", "--n", "3", "--a", "1\n"])
+        assert result.exit_code == 2
+        assert "invalid complex literal: '1\\n'" in result.output
 
     def test_parameter_type_passes_a_complex_through(self):
         assert cli_module.ComplexValue().convert(1 + 2j, None, None) == 1 + 2j
@@ -291,6 +296,16 @@ class TestEigCommand:
             for k in range(1, m + 1)
         ]
         assert sorted(values) == pytest.approx(sorted(expected), rel=1e-12, abs=1e-15 * 10.0**zeros)
+
+    def test_an_exact_zero_prints_as_zero(self, runner):
+        result = runner.invoke(cli, ["eig", "--n", "3", "--format", "pretty"])
+        assert result.output.splitlines()[1] == "0"
+
+    def test_values_pair_as_exact_negatives(self, runner):
+        result = runner.invoke(cli, ["eig", "--n", "7"])
+        values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
+        ascending = sorted(values, key=lambda v: (v.real, v.imag))
+        assert ascending == [-v for v in reversed(ascending)]
 
     def test_csv_format(self, runner):
         result = runner.invoke(cli, ["eig", "--n", "4", "--format", "csv"])

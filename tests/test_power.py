@@ -17,6 +17,7 @@ from pentapower import (
     power_matrix,
     power_via_spectral,
 )
+from pentapower import power as power_module
 from pentapower.oracle import band_pairs
 from pentapower.power import _MODES_FROM
 from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size
@@ -329,7 +330,7 @@ class TestSpectralRoute:
         spectral = power_via_spectral(_request(n, band, band, 1))
         assert np.max(np.abs(spectral - closed)) <= 1e-12 * np.max(np.abs(closed))
 
-    @pytest.mark.parametrize("n", [600, 601])
+    @pytest.mark.parametrize("n", [600, 601, 1023, 1024])
     def test_agrees_with_closed_form_across_lane_blocks(self, n):
         closed = power_matrix(_request(n, *EQUAL_MODULI, 301))
         spectral = power_via_spectral(_request(n, *EQUAL_MODULI, 301))
@@ -413,6 +414,24 @@ class TestDoubleRange:
         # as far above the rest: one shared exponent cannot hold both, so no answer is given
         with pytest.raises(OverflowError, match="span more than"):
             power_matrix(_request(2400, 1, 0.01, 1169))
+
+    def test_a_scale_beyond_what_counts_and_weights_can_share_is_refused(self, monkeypatch):
+        # white-box: 2**1000 walks of weight 1 on diagonals +-1 fit a double, but each
+        # carries 1000 of the summed exponent 2000, which this lane cannot scale
+        def counts(m, r):
+            out = np.zeros(2 * (m + 1))
+            out[1] = 1.0
+            return out, 1000
+
+        def weights(m, a, b, r):
+            out = np.zeros(2 * m - 1, dtype=complex)
+            out[[m - 2, m]] = 2.0**-1000
+            return out, 1000
+
+        monkeypatch.setattr(power_module, "_walk_counts", counts)
+        monkeypatch.setattr(power_module, "_diagonal_weights", weights)
+        with pytest.raises(OverflowError, match=r"^the entries of A\*\*1 span more than the double range$"):
+            power_matrix(_request(4, 1, 1, 1))
 
     @pytest.mark.parametrize("r", [1200, 5000])
     def test_scale_carried_outside_the_double_range(self, r):

@@ -14,7 +14,7 @@ from pentapower import (
     transform_odd,
 )
 from pentapower.oracle import band_pairs
-from pentapower.spectrum import _by_lanes, _eigenvalues
+from pentapower.spectrum import _by_lanes, _eigenvalues, _even_nodes
 
 
 def _residuals(spec, decomposition):
@@ -129,6 +129,19 @@ class TestEigenvalues:
                 assert_allclose(
                     values[order], -values[mirrored], atol=1e-12 * scale, rtol=0
                 )
+
+
+class TestNodes:
+    @pytest.mark.parametrize("m", [*range(1, 65), 511, 512])
+    def test_nodes_mirror_exactly_about_an_exact_middle_zero(self, m):
+        nodes = _even_nodes(2 * m)
+        assert len(nodes) == m
+        assert np.array_equal(nodes, -nodes[::-1])
+        if m % 2:
+            middle = nodes[m // 2]
+            assert middle == 0.0 and math.copysign(1.0, middle) > 0
+        k = np.arange(1, m // 2 + 1)
+        assert np.array_equal(nodes[: m // 2], np.cos(2.0 * k * np.pi / (2 * m + 2)))
 
 
 class TestTransforms:
