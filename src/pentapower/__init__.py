@@ -19,8 +19,7 @@ from .oracle import (
 )
 from .power import (
     PowerRequest,
-    power_entry_even,
-    power_entry_odd,
+    power_entry,
     power_matrix,
     power_via_spectral,
 )
@@ -28,8 +27,7 @@ from .spectrum import (
     DerivedScalars,
     MatrixSpec,
     SpectralDecomposition,
-    transform_even,
-    transform_odd,
+    transform,
 )
 
 __version__ = "0.1.0"
@@ -41,11 +39,9 @@ __all__ = [
     "MatrixSpec",
     "DerivedScalars",
     "SpectralDecomposition",
-    "transform_even",
-    "transform_odd",
+    "transform",
     "PowerRequest",
-    "power_entry_even",
-    "power_entry_odd",
+    "power_entry",
     "power_matrix",
     "power_via_spectral",
     "VerificationReport",

@@ -94,7 +94,11 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
         click.echo()
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--out'") from exc
+        with handle:
             handle.writelines((text, "\n"))
 
 
@@ -225,15 +229,9 @@ def eig_cmd(n, a, b, fmt, out):
     if not np.isfinite(values).all():
         raise DomainError(f"the eigenvalues of order {n} go beyond the double range")
     if fmt == "json":
-        document = {
-            "schema_version": "1",
-            "n": spec.n,
-            "a": _pair(spec.a),
-            "b": _pair(spec.b),
-            "parity": "even" if spec.is_even else "odd",
-            "eigenvalues": [_pair(complex(v)) for v in values],
-        }
-        text = json.dumps(document)
+        parity = "even" if spec.is_even else "odd"
+        head = json.dumps({"schema_version": "1", "n": spec.n, "a": _pair(spec.a), "b": _pair(spec.b), "parity": parity})
+        text = f'{head[:-1]}, "eigenvalues": [{", ".join(_cell_texts(values, _json_pair))}]}}'
     elif fmt == "csv":
         text = "\n".join(["re,im", *_rows(_cell_texts(_parts(values), _format_float), 2, ",")])
     else:
@@ -246,7 +244,7 @@ def eig_cmd(n, a, b, fmt, out):
 @click.option("--r", type=int, default=6)
 @click.option("--a", type=COMPLEX, default="1")
 @click.option("--b", type=COMPLEX, default="1")
-@click.option("--seed", type=int, default=20240811, help="Seed for --sweep band values.")
+@click.option("--seed", type=click.IntRange(min=0), default=20240811, help="Seed for --sweep band values.")
 @click.option("--sweep", is_flag=True, help="Run the full grid instead of one case.")
 @click.option("--rel-tol", type=float, default=1e-8)
 def verify_cmd(n, r, a, b, seed, sweep, rel_tol):

@@ -29,8 +29,8 @@ the double range, so neither over- or underflows while their products fit
 it; a lane whose significant entries need more than one shared exponent is
 refused.
 
-The reference routes (power_entry_even / _odd, power_via_spectral) read
-one lane routine, _node_sum_lane, the paper's node sum: entry (p, q) =
+The reference routes (power_entry, power_via_spectral) read one lane
+routine, _node_sum_lane, the paper's node sum: entry (p, q) =
 sum_k w_k * (2*sqrt(ab)*x_k)**r * sqrt(b/a)**(p-q) * U_p(x_k) * U_q(x_k)
 with w_k = 2*(1 - x_k**2)/(m+1), over the first m // 2 nodes, each doubled
 or cancelled with its negative by the parity of r + p + q. Its rounding
@@ -60,14 +60,11 @@ from .spectrum import (
     _int_powers,
     _lane_size,
     _lane_tables,
-    _require_even,
-    _require_odd,
 )
 
 __all__ = [
     "PowerRequest",
-    "power_entry_even",
-    "power_entry_odd",
+    "power_entry",
     "power_matrix",
     "power_via_spectral",
 ]
@@ -202,7 +199,8 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
     """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an exact 0
     where r + p + q is odd; OverflowError or FloatingPointError where doubles cannot hold it."""
     nodes, weights, columns, inverse_rows = _lane_tables(m, m // 2, derived)
-    terms = weights * np.array([ipow(derived.sqrt_ab * (2.0 * x), r) for x in nodes], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses a non-finite term
+        terms = weights * np.array([ipow(derived.sqrt_ab * (2.0 * x), r) for x in nodes], dtype=complex)
     if not np.isfinite(terms).all():
         raise OverflowError(f"the node sum for A**{r} has eigenvalue powers beyond the double range")
     lane = 2 * (columns * terms) @ inverse_rows
@@ -218,7 +216,8 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
     return lane
 
 
-def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
+def power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
+    """Entry (i, j), 1-based, of the r-th power, r >= 1, from the node sum of its lane."""
     r, i, j = int(r), int(i), int(j)
     if r < 1:
         raise ValueError(f"entry formulas require r >= 1, got {r}")
@@ -229,18 +228,6 @@ def _power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
         return 0j  # the lanes never mix
     lane = _node_sum_lane(_lane_size(spec.n, 1 - i % 2), DerivedScalars.from_spec(spec), r)
     return complex(lane[(i - 1) // 2, (j - 1) // 2])
-
-
-def power_entry_even(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
-    """Entry (i, j), 1-based, of the r-th power for even order n."""
-    _require_even(spec)
-    return _power_entry(spec, r, i, j)
-
-
-def power_entry_odd(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
-    """Entry (i, j), 1-based, of the r-th power for odd order n."""
-    _require_odd(spec)
-    return _power_entry(spec, r, i, j)
 
 
 def power_matrix(req: PowerRequest) -> np.ndarray:

@@ -25,8 +25,7 @@ __all__ = [
     "MatrixSpec",
     "DerivedScalars",
     "SpectralDecomposition",
-    "transform_even",
-    "transform_odd",
+    "transform",
 ]
 
 
@@ -146,16 +145,6 @@ def _by_lanes(n: int, lane) -> np.ndarray:
     return out
 
 
-def _require_even(spec: MatrixSpec) -> None:
-    if spec.n % 2 != 0:
-        raise ValueError(f"matrix order must be even, got {spec.n}")
-
-
-def _require_odd(spec: MatrixSpec) -> None:
-    if spec.n % 2 != 1:
-        raise ValueError(f"matrix order must be odd, got {spec.n}")
-
-
 def _eigenvalues(spec: MatrixSpec, branch_flip: bool = False) -> np.ndarray:
     """All n eigenvalues in index order, with multiplicity: sqrt(ab) * (2 * node). Doubling
     the node is exact, and unlike doubling sqrt(ab) it cannot overflow before the node scales."""
@@ -188,9 +177,14 @@ def _lane_tables(m: int, count: int, derived: DerivedScalars):
     return nodes, weights, up[:, None] * cheb, down[None, :] * cheb.T
 
 
-def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
-    """Column and eigenvalue lane + 2(k-1) carry the k-th node of a size-m lane;
-    its inverse rows carry the weights 2*(1 - node**2)/(m + 1)."""
+def transform(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:
+    """Diagonalising pair for any order n.
+
+    Column and eigenvalue lane + 2(k-1) carry the k-th node of a size-m lane,
+    and its inverse rows the weight 2*(1 - node**2)/(m + 1). An even order's
+    lanes share one Chebyshev profile, with weights (4 - 4*node**2)/(n + 2);
+    an odd order's lane 0 has (n+1)/2 positions and lane 1 has (n-1)/2.
+    """
     derived = DerivedScalars.from_spec(spec, branch_flip=branch_flip)
     tables = {m: _lane_tables(m, m, derived) for m in {_lane_size(spec.n, 0), _lane_size(spec.n, 1)}}
     return SpectralDecomposition(
@@ -198,25 +192,3 @@ def _transform(spec: MatrixSpec, branch_flip: bool) -> SpectralDecomposition:
         transform=_by_lanes(spec.n, lambda m: tables[m][2].__getitem__),
         inverse_transform=_by_lanes(spec.n, lambda m: (tables[m][1][:, None] * tables[m][3]).__getitem__),
     )
-
-
-def transform_even(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:
-    """Diagonalising pair for even order.
-
-    Column 2k-1 carries the odd lane and column 2k the even lane for the
-    k-th eigenvalue, both lanes sharing the same Chebyshev profile. The
-    inverse rows carry the weights (4 - 4*node**2)/(n + 2).
-    """
-    _require_even(spec)
-    return _transform(spec, branch_flip)
-
-
-def transform_odd(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:
-    """Diagonalising pair for odd order.
-
-    The odd lane has (n+1)/2 positions and uses the odd-indexed
-    eigenvalues; the even lane has (n-1)/2 positions and the even-indexed
-    ones. Weights divide by n+3 on the odd lane and n+1 on the even lane.
-    """
-    _require_odd(spec)
-    return _transform(spec, branch_flip)

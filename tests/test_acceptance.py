@@ -17,8 +17,7 @@ from pentapower import (
     determinant_corollary_check,
     naive_power,
     power_matrix,
-    transform_even,
-    transform_odd,
+    transform,
 )
 from pentapower.cli import cli
 from pentapower.oracle import band_pairs
@@ -166,8 +165,7 @@ def test_criterion_5_spectral_residuals():
     for n in range(3, 17):
         for a, b in band_pairs():
             spec = MatrixSpec(n=n, a=a, b=b)
-            build = transform_even if n % 2 == 0 else transform_odd
-            decomposition = build(spec)
+            decomposition = transform(spec)
             dense = build_dense(spec)
             lhs = dense @ decomposition.transform
             rhs = decomposition.transform * decomposition.eigenvalues[None, :]

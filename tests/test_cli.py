@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentapower import MatrixSpec, PowerRequest, power_matrix, transform_even, transform_odd
+from pentapower import MatrixSpec, PowerRequest, power_matrix, transform
 from pentapower import cli as cli_module
 from pentapower import oracle as oracle_module
 from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
@@ -250,6 +250,17 @@ class TestPowerCommand:
         assert result.exit_code == 3
         assert needed in result.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [["power", "--n", "3", "--r", "5"], ["eig", "--n", "3"], ["bench", "--n", "4", "--r", "1", "--repeats", "3"]],
+        ids=lambda args: args[0],
+    )
+    def test_out_in_a_missing_directory_is_a_usage_error(self, runner, tmp_path, args):
+        result = runner.invoke(cli, [*args, "--out", str(tmp_path / "missing" / "x")])
+        assert result.exit_code == 2
+        assert "'--out'" in result.stderr
+        assert not (tmp_path / "missing").exists()
+
     def test_usage_errors_exit_two(self, runner):
         for args in (
             ["power", "--n", "4", "--r", "1", "--a", "0..5"],
@@ -301,6 +312,16 @@ class TestEigCommand:
         result = runner.invoke(cli, ["eig", "--n", "3", "--format", "pretty"])
         assert result.output.splitlines()[1] == "0"
 
+    def test_json_formats_each_distinct_value_once(self, runner, monkeypatch):
+        calls = []
+        original = cli_module._json_pair
+        monkeypatch.setattr(cli_module, "_json_pair", lambda v: calls.append(v) or original(v))
+        result = runner.invoke(cli, ["eig", "--n", "64"])
+        assert result.exit_code == 0
+        values = transform(MatrixSpec(n=64, a=1, b=1)).eigenvalues
+        assert len(json.loads(result.output)["eigenvalues"]) == 64
+        assert len(calls) == np.unique(values[values != 0]).size + 1
+
     def test_values_pair_as_exact_negatives(self, runner):
         result = runner.invoke(cli, ["eig", "--n", "7"])
         values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
@@ -327,7 +348,7 @@ class TestEigCommand:
         assert result.exit_code == 0
         values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
         spec = MatrixSpec(n=n, a=1e308, b=1e308)
-        expected = (transform_even if n % 2 == 0 else transform_odd)(spec).eigenvalues
+        expected = transform(spec).eigenvalues
         assert np.max(np.abs(np.array(values) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", range(3, 17))
@@ -336,7 +357,7 @@ class TestEigCommand:
             spec = MatrixSpec(n=n, a=a, b=b)
             result = runner.invoke(cli, ["eig", "--n", str(n), "--a", format_complex(a), "--b", format_complex(b)])
             values = [complex(v["re"], v["im"]) for v in json.loads(result.output)["eigenvalues"]]
-            assert values == list((transform_even if n % 2 == 0 else transform_odd)(spec).eigenvalues)
+            assert values == list(transform(spec).eigenvalues)
 
 
 class TestVerifyCommand:
@@ -410,6 +431,11 @@ class TestVerifyCommand:
         result = runner.invoke(cli, ["verify", "--sweep"])
         assert result.exit_code == 0
         assert "500/500 cases passed" in result.output
+
+    def test_negative_seed_is_a_usage_error(self, runner):
+        result = runner.invoke(cli, ["verify", "--sweep", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr
 
 
 class TestDetCommand:

@@ -12,8 +12,7 @@ from pentapower import (
     PowerRequest,
     mat_mul,
     naive_power,
-    power_entry_even,
-    power_entry_odd,
+    power_entry,
     power_matrix,
     power_via_spectral,
 )
@@ -35,31 +34,31 @@ class TestEntryFormulas:
     def test_even_diagonal_instance(self):
         # order 4 squares to (a*b) I, so the 6th power is (a*b)^3 I
         spec = MatrixSpec(n=4, a=2, b=3)
-        assert power_entry_even(spec, 6, 1, 1) == pytest.approx(216)
+        assert power_entry(spec, 6, 1, 1) == pytest.approx(216)
 
     def test_even_printed_entry(self):
         spec = MatrixSpec(n=6, a=2, b=1 + 1j)
-        assert power_entry_even(spec, 6, 1, 5) == pytest.approx(128j)
+        assert power_entry(spec, 6, 1, 5) == pytest.approx(128j)
 
     def test_even_opposite_parity_is_exact_zero(self):
         spec = MatrixSpec(n=4, a=1.5 + 0.5j, b=-2j)
-        assert power_entry_even(spec, 3, 1, 2) == 0
+        assert power_entry(spec, 3, 1, 2) == 0
 
     def test_odd_printed_entry(self):
         spec = MatrixSpec(n=7, a=3, b=2)
-        assert power_entry_odd(spec, 5, 1, 3) == pytest.approx(540)
+        assert power_entry(spec, 5, 1, 3) == pytest.approx(540)
 
     def test_odd_diagonal_instance(self):
         # order-5 symbolic instance: entry (3,3) of the 4th power is 4 a^2 b^2
         spec = MatrixSpec(n=5, a=2, b=3)
-        assert power_entry_odd(spec, 4, 3, 3) == pytest.approx(144)
+        assert power_entry(spec, 4, 3, 3) == pytest.approx(144)
 
     def test_odd_opposite_parity_is_exact_zero(self):
         spec = MatrixSpec(n=5, a=1j, b=2)
-        assert power_entry_odd(spec, 2, 2, 3) == 0
+        assert power_entry(spec, 2, 2, 3) == 0
 
     def test_entries_match_oracle_matrix(self):
-        for n, entry in ((8, power_entry_even), (9, power_entry_odd)):
+        for n in (8, 9):
             for a, b in band_pairs(count=2):
                 spec = MatrixSpec(n=n, a=a, b=b)
                 for r in (1, 4, 7):
@@ -67,22 +66,17 @@ class TestEntryFormulas:
                     scale = max(1.0, np.max(np.abs(reference)))
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
-                            value = entry(spec, r, i, j)
+                            value = power_entry(spec, r, i, j)
                             assert abs(value - reference[i - 1, j - 1]) <= 1e-8 * scale
 
     def test_rejects_bad_arguments(self):
         spec_even = MatrixSpec(n=4, a=1, b=1)
-        spec_odd = MatrixSpec(n=5, a=1, b=1)
         with pytest.raises(ValueError):
-            power_entry_even(spec_odd, 2, 1, 1)
+            power_entry(spec_even, 0, 1, 1)
         with pytest.raises(ValueError):
-            power_entry_odd(spec_even, 2, 1, 1)
+            power_entry(spec_even, 2, 0, 1)
         with pytest.raises(ValueError):
-            power_entry_even(spec_even, 0, 1, 1)
-        with pytest.raises(ValueError):
-            power_entry_even(spec_even, 2, 0, 1)
-        with pytest.raises(ValueError):
-            power_entry_even(spec_even, 2, 1, 5)
+            power_entry(spec_even, 2, 1, 5)
 
 
 def _assert_count_covers_lane(m, count):
@@ -159,13 +153,12 @@ class TestPowerMatrix:
         for n in (6, 7):
             for a, b in band_pairs(count=2):
                 spec = MatrixSpec(n=n, a=a, b=b)
-                entry = power_entry_even if n % 2 == 0 else power_entry_odd
                 for r in (1, 2, 5):
                     full = power_matrix(PowerRequest(spec=spec, r=r))
                     scale = max(1.0, np.max(np.abs(full)))
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
-                            assert abs(full[i - 1, j - 1] - entry(spec, r, i, j)) <= 1e-12 * scale
+                            assert abs(full[i - 1, j - 1] - power_entry(spec, r, i, j)) <= 1e-12 * scale
 
     def test_oracle_equivalence_sweep(self):
         for n in range(3, 13):
@@ -304,14 +297,14 @@ class TestSpectralRoute:
                     assert np.max(np.abs(plain - flipped)) <= 1e-10 * np.max(np.abs(closed))
 
     def test_entries_read_the_same_lane_sum(self):
-        for n, entry in ((8, power_entry_even), (9, power_entry_odd)):
+        for n in (8, 9):
             for a, b in band_pairs(count=2):
                 spec = MatrixSpec(n=n, a=a, b=b)
                 for r in (1, 4, 7):
                     spectral = power_via_spectral(PowerRequest(spec=spec, r=r))
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
-                            assert entry(spec, r, i, j) == spectral[i - 1, j - 1]
+                            assert power_entry(spec, r, i, j) == spectral[i - 1, j - 1]
 
     def test_odd_walk_parity_is_exact_zero(self):
         # entry (p, q) of a lane's r-th power needs r + p + q even: the node pairs cancel otherwise
@@ -341,7 +334,14 @@ class TestSpectralRoute:
         with pytest.raises(FloatingPointError, match=r"rounding bound .* \(\|b/a\| = 4\)"):
             power_via_spectral(_request(300, 1, 4, 20))
         with pytest.raises(FloatingPointError):
-            power_entry_even(MatrixSpec(n=300, a=1, b=4), 20, 1, 41)
+            power_entry(MatrixSpec(n=300, a=1, b=4), 20, 1, 41)
+
+    def test_overflowing_eigenvalue_powers_are_refused_without_a_warning(self):
+        # the suite turns a RuntimeWarning into an error, so a leaked one fails before the refusal
+        with pytest.raises(OverflowError, match="eigenvalue powers"):
+            power_via_spectral(_request(128, 1, 1, 1026))
+        with pytest.raises(OverflowError, match="eigenvalue powers"):
+            power_entry(MatrixSpec(n=4, a=1e200, b=1e200), 2, 1, 1)
 
 
 def _deviation(n, a, b, r):

@@ -10,8 +10,7 @@ from pentapower import (
     MatrixSpec,
     build_dense,
     determinant,
-    transform_even,
-    transform_odd,
+    transform,
 )
 from pentapower.oracle import band_pairs
 from pentapower.spectrum import _by_lanes, _eigenvalues, _even_nodes
@@ -112,12 +111,6 @@ class TestEigenvalues:
         reference = abs(determinant(3 * math.sqrt(6) * np.eye(7) - build_dense(spec)))
         assert abs(determinant(shifted)) <= 1e-6 * reference
 
-    def test_parity_is_enforced(self):
-        with pytest.raises(ValueError, match="^matrix order must be even, got 5$"):
-            transform_even(MatrixSpec(n=5, a=1, b=1))
-        with pytest.raises(ValueError, match="^matrix order must be odd, got 6$"):
-            transform_odd(MatrixSpec(n=6, a=1, b=1))
-
     def test_even_spectrum_negation_symmetric(self):
         for a, b in band_pairs():
             for n in (4, 6, 8, 10, 12):
@@ -146,15 +139,15 @@ class TestNodes:
 
 class TestTransforms:
     def test_even_first_column_unit_bands(self):
-        decomposition = transform_even(MatrixSpec(n=4, a=1, b=1))
+        decomposition = transform(MatrixSpec(n=4, a=1, b=1))
         assert_allclose(decomposition.transform[:, 0], [1, 0, 1, 0], atol=1e-15)
 
     def test_odd_middle_column_unit_bands(self):
-        decomposition = transform_odd(MatrixSpec(n=5, a=1, b=1))
+        decomposition = transform(MatrixSpec(n=5, a=1, b=1))
         assert_allclose(decomposition.transform[:, 2], [1, 0, 0, 0, -1], atol=1e-15)
 
     def test_even_example_eigenvalue_order(self):
-        decomposition = transform_even(MatrixSpec(n=6, a=2, b=1 + 1j))
+        decomposition = transform(MatrixSpec(n=6, a=2, b=1 + 1j))
         root = cmath.sqrt(4 + 4j)
         assert_allclose(
             decomposition.eigenvalues, [root, root, 0, 0, -root, -root], atol=1e-14
@@ -164,8 +157,7 @@ class TestTransforms:
     def test_residuals_across_band_sweep(self, n):
         for a, b in band_pairs():
             spec = MatrixSpec(n=n, a=a, b=b)
-            build = transform_even if n % 2 == 0 else transform_odd
-            sim, inv = _residuals(spec, build(spec))
+            sim, inv = _residuals(spec, transform(spec))
             assert sim <= 1e-9
             assert inv <= 1e-10
 
@@ -173,8 +165,7 @@ class TestTransforms:
     def test_flipped_branch_still_diagonalises(self, n):
         for a, b in band_pairs(count=3):
             spec = MatrixSpec(n=n, a=a, b=b)
-            build = transform_even if n % 2 == 0 else transform_odd
-            sim, inv = _residuals(spec, build(spec, branch_flip=True))
+            sim, inv = _residuals(spec, transform(spec, branch_flip=True))
             assert sim <= 1e-9
             assert inv <= 1e-10
 
@@ -182,13 +173,12 @@ class TestTransforms:
     def test_residuals_across_lane_blocks(self, n):
         # a size-300 lane is written as a 218-row block and an 82-row block
         spec = MatrixSpec(n=n, a=1.25 * cmath.exp(0.4j), b=1.25 * cmath.exp(-1.1j))
-        build = transform_even if n % 2 == 0 else transform_odd
-        sim, inv = _residuals(spec, build(spec))
+        sim, inv = _residuals(spec, transform(spec))
         assert sim <= 1e-11
         assert inv <= 1e-11
 
     def test_decomposition_arrays_are_frozen(self):
-        decomposition = transform_even(MatrixSpec(n=4, a=1, b=1))
+        decomposition = transform(MatrixSpec(n=4, a=1, b=1))
         with pytest.raises(ValueError):
             decomposition.transform[0, 0] = 5
 
