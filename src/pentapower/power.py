@@ -208,7 +208,7 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
     moduli = 2 * (abs(columns) * abs(terms)) @ abs(inverse_rows)
     bound = m * np.finfo(float).eps * float(np.max(moduli, initial=0))
     largest = float(np.max(abs(lane), initial=0))
-    if bound > 1e-8 * largest:
+    if not bound <= 1e-8 * largest:  # a NaN refuses too
         raise FloatingPointError(
             f"the node sum for A**{r} cannot resolve its entries: rounding bound {bound:.1e} "
             f"against a largest entry of {largest:.1e} (|b/a| = {abs(derived.alpha):.3g})"

@@ -167,14 +167,17 @@ def _lane_tables(m: int, count: int, derived: DerivedScalars):
 
     Returns (nodes, weights, columns, inverse_rows): columns[p, k] is the
     transform lane, inverse_rows[k, q] the inverse lane before the weight
-    2*(1 - node**2)/(m + 1) of node k.
+    2*(1 - node**2)/(m + 1) of node k; OverflowError where a table leaves the double range.
     """
     nodes = _even_nodes(2 * m)[:count]
     weights = 2.0 * (1.0 - nodes**2) / (m + 1)
     cheb = np.array(chebyshev_u_sequence(m - 1, nodes))
-    up = _int_powers(derived.sqrt_alpha, m)
-    down = _int_powers(1 / derived.sqrt_alpha, m)
-    return nodes, weights, up[:, None] * cheb, down[None, :] * cheb.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses a non-finite table
+        columns = _int_powers(derived.sqrt_alpha, m)[:, None] * cheb
+        inverse_rows = _int_powers(1 / derived.sqrt_alpha, m)[None, :] * cheb.T
+    if not (np.isfinite(columns).all() and np.isfinite(inverse_rows).all()):
+        raise OverflowError(f"the size-{m} lane's sqrt(b/a) powers leave the double range (|b/a| = {abs(derived.alpha):.3g})")
+    return nodes, weights, columns, inverse_rows
 
 
 def transform(spec: MatrixSpec, *, branch_flip: bool = False) -> SpectralDecomposition:

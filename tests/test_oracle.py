@@ -86,6 +86,38 @@ class TestNaivePower:
         with pytest.raises(ValueError):
             naive_power(MatrixSpec(n=4, a=1, b=1), -1)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 64, 65, 66, 67])
+    def test_matches_numpys_dense_power(self, n):
+        # np.linalg.matrix_power squares the whole n x n matrix: an independent referee
+        # for the blocks of index classes mod 4 (every n mod 4; n = 3 has a one-vertex lane)
+        for a, b in band_pairs() + [(1, 4), (4, -1), (0.5, 0.5j)]:
+            spec = MatrixSpec(n=n, a=a, b=b)
+            for r in (0, 1, 2, 3, 4, 5, 7, 64, 65, 200):
+                blocks = naive_power(spec, r)
+                reference = np.linalg.matrix_power(build_dense(spec), r)
+                assert np.array_equal(blocks == 0, reference == 0)
+                assert np.max(np.abs(blocks - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n, a, b, r", [(8, 1, 1, 2000), (100, 1e8, 1e-9, 1000)])
+    def test_overflow_matches_numpys_dense_power(self, n, a, b, r):
+        spec = MatrixSpec(n=n, a=a, b=b)
+        with np.errstate(all="ignore"):
+            blocks = naive_power(spec, r)
+            reference = np.linalg.matrix_power(build_dense(spec), r)
+        assert np.isfinite(blocks).all() == np.isfinite(reference).all()
+
+    def test_multiplies_only_the_non_zero_blocks(self, monkeypatch):
+        # 64 = 2**6: six squarings, each of four non-zero blocks of order 64 / 4 (one per block row)
+        shapes = []
+
+        def recording(lhs, rhs):
+            shapes.append((lhs.shape, rhs.shape))
+            return lhs @ rhs
+
+        monkeypatch.setattr(oracle, "mat_mul", recording)
+        naive_power(MatrixSpec(n=64, a=2, b=1 + 1j), 64)
+        assert shapes == [((16, 16), (16, 16))] * 24
+
     def test_semigroup(self):
         for n in (4, 7, 10):
             a, b = band_pairs(count=1)[0]

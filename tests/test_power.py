@@ -1,5 +1,6 @@
 import cmath
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pentapower import (
 from pentapower import power as power_module
 from pentapower.oracle import band_pairs
 from pentapower.power import _MODES_FROM
-from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size
+from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size, transform
 
 
 # |a| = |b|: the node sum resolves large orders
@@ -342,6 +343,21 @@ class TestSpectralRoute:
             power_via_spectral(_request(128, 1, 1, 1026))
         with pytest.raises(OverflowError, match="eigenvalue powers"):
             power_entry(MatrixSpec(n=4, a=1e200, b=1e200), 2, 1, 1)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_tables_beyond_the_double_range_are_refused(self, n):
+        # |b/a| = 1e-300: powers of sqrt(b/a) overflow, and inf times a zero Chebyshev value was a silent NaN
+        spec = MatrixSpec(n=n, a=1e150, b=1e-150j)
+        calls = [
+            lambda: power_via_spectral(PowerRequest(spec=spec, r=2)),
+            lambda: power_entry(spec, 2, 1, 3),
+            lambda: transform(spec),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ArithmeticError):
+                    call()
 
 
 def _deviation(n, a, b, r):
