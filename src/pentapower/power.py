@@ -12,8 +12,10 @@ where the reflection principle (Feller, Vol. 1, walks between two
 absorbing barriers) gives the path count W_r through C[d], the number of
 walks from 0 to d on a cycle of 2(m + 1) vertices. power_matrix fills each
 lane from O(m) numbers, Toeplitz weights times (Toeplitz minus Hankel)
-counts, with no square root and no branch choice, one row block at a time
-that _by_lanes writes to every lane of its size in one pass. C comes from:
+counts, with no square root and no branch choice, in row blocks that
+_by_lanes writes to every lane of its size in one pass, one block per
+thread at a time, on every usable CPU once a lane spans more than two
+blocks. C comes from:
 
 * r < m*m/8: the binomial row folded mod 2(m + 1), in float log space, O(r);
 * r >= m*m/8: the path-graph modes, (1/(m+1)) * sum_k mu_k cos(k*pi*d/(m+1))
@@ -36,8 +38,9 @@ with w_k = 2*(1 - x_k**2)/(m+1), over the first m // 2 nodes, each doubled
 or cancelled with its negative by the parity of r + p + q. Its rounding
 error grows like |b/a|**(m/2) (Reichel & Trefethen, LAA 1992): where
 m * eps times the sum of the terms' moduli exceeds 1e-8 of the lane's
-largest entry, it raises FloatingPointError. An odd lane's zero middle
-node is dropped, so r = 0 is short-circuited to the identity.
+largest entry, it raises FloatingPointError; where the lane itself leaves
+the double range, OverflowError. An odd lane's zero middle node is
+dropped, so r = 0 is short-circuited to the identity.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benc
 from .spectrum import (
     DerivedScalars,
     MatrixSpec,
-    _block_rows,
     _by_lanes,
     _even_nodes,
     _index_nodes as _odd_nodes,  # unused here; the benchmark's traced run looks it up on this module
@@ -152,7 +154,7 @@ def _diagonal_weights(m: int, a: complex, b: complex, r: int) -> tuple[np.ndarra
 
 
 def _walk_lane(m: int, spec: MatrixSpec, r: int):
-    """rows(s): the rows s of a size-m lane's r-th power, r >= 1, in a buffer the next call reuses."""
+    """rows(s): the rows s of a size-m lane's r-th power, r >= 1, in a new array (calls may overlap)."""
     if m == 1:
         return lambda s: np.zeros((1, 1), dtype=complex)  # a single vertex has no walk of length >= 1
     counts, e_counts = _walk_counts(m, r)
@@ -166,7 +168,9 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int):
     reached = (np.abs(diagonals) - r % 2) // 2  # wrong-parity diagonals have weight 0
     peak = float(np.max((same[reached] - least_beyond[reached]) * sizes))
     exponent = e_counts + e_weights
-    if peak > 0 and math.log2(peak) + exponent >= 1024:
+    if not (peak <= 0 or math.log2(peak) + exponent < 1024):  # a NaN peak refuses too
+        if not math.isfinite(peak):
+            raise OverflowError(f"the walk counts or weights of A**{r} are not finite")
         decades = (math.log2(peak) + exponent) * math.log10(2)
         raise OverflowError(
             f"the largest entry of A**{r} is about 1e{math.floor(decades)}, beyond the double range"
@@ -176,7 +180,7 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int):
     support = (np.abs(diagonals) <= min(r, m)) & ((diagonals + r % 2) % 2 == 0)
     blurred = support & ((np.abs(along) < 2.0**-960) | (sizes < 2.0**-1021))
     bound = np.maximum(np.abs(along[blurred]), 2.0**-960) * np.maximum(sizes[blurred], 2.0**-1021)
-    if np.any(bound > peak * 2.0**-60):
+    if not np.all(bound <= peak * 2.0**-60):  # a NaN bound refuses too
         raise OverflowError(f"the entries of A**{r} span more than one double exponent can scale")
     # the counts and the weights each take half the exponent (both peak near 1)
     half = max(min(exponent // 2, 2048), -2048)
@@ -188,9 +192,8 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int):
     toeplitz = sliding_window_view(weights, m)[::-1]
     hankel = sliding_window_view(np.ldexp(counts[2 : 2 * m + 1], half), m)
     leading = sliding_window_view(np.ldexp(along, half) * weights, m)[::-1]
-    buffer = np.empty((_block_rows(m), m), dtype=complex)
     def rows(s: slice) -> np.ndarray:
-        block = np.multiply(hankel[s], toeplitz[s], out=buffer[: s.stop - s.start])
+        block = np.multiply(hankel[s], toeplitz[s])
         return np.subtract(leading[s], block, out=block)
     return rows
 
@@ -199,13 +202,15 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
     """The r-th power, r >= 1, of a size-m lane from the paper's node sum, with an exact 0
     where r + p + q is odd; OverflowError or FloatingPointError where doubles cannot hold it."""
     nodes, weights, columns, inverse_rows = _lane_tables(m, m // 2, derived)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses a non-finite term
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks refuse a non-finite term, lane or bound
         terms = weights * np.array([ipow(derived.sqrt_ab * (2.0 * x), r) for x in nodes], dtype=complex)
-    if not np.isfinite(terms).all():
-        raise OverflowError(f"the node sum for A**{r} has eigenvalue powers beyond the double range")
-    lane = 2 * (columns * terms) @ inverse_rows
+        if not np.isfinite(terms).all():
+            raise OverflowError(f"the node sum for A**{r} has eigenvalue powers beyond the double range")
+        lane = 2 * (columns * terms) @ inverse_rows
+        moduli = 2 * (abs(columns) * abs(terms)) @ abs(inverse_rows)
     lane[np.add.outer(np.arange(m), np.arange(m)) % 2 != r % 2] = 0
-    moduli = 2 * (abs(columns) * abs(terms)) @ abs(inverse_rows)
+    if not np.isfinite(lane).all():
+        raise OverflowError(f"the node sum for A**{r} has terms beyond the double range")
     bound = m * np.finfo(float).eps * float(np.max(moduli, initial=0))
     largest = float(np.max(abs(lane), initial=0))
     if not bound <= 1e-8 * largest:  # a NaN refuses too

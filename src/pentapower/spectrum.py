@@ -15,6 +15,9 @@ in sqrt(ab) and in powers of sqrt(b/a).
 from __future__ import annotations
 
 import cmath
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,23 +128,65 @@ def _lane_size(n: int, lane: int) -> int:
     return (n + 1 - lane) // 2
 
 
-def _block_rows(m: int) -> int:
-    # about 2**16 complex entries (1 MiB): a block stays in cache while it is written to every lane
-    return min(m, max(1, 2**16 // m))
+def _block_rows(m: int, workers: int = 1) -> int:
+    # about 2**16 complex entries (1 MiB) across all workers: the blocks in flight stay in cache
+    # while each is written to every lane
+    return min(m, max(1, 2**16 // (m * workers)))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _fill(tasks, errors: list) -> None:
+    try:
+        for rows, block, targets in tasks:
+            values = rows(block)
+            for view in targets:
+                view[block] = values
+            del values  # a worker holds one block at a time
+    except Exception as exc:  # re-raised by the calling thread once every worker has joined
+        errors.append(exc)
 
 
 def _by_lanes(n: int, lane) -> np.ndarray:
     """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call.
-    Every lane(m) is called, lane 0's first, before the matrix is allocated and any block filled."""
+
+    Every lane(m) is called in the calling thread, lane 0's first, before the matrix is
+    allocated and any block filled, so a refusal leaves nothing to undo. Where a lane spans
+    more than two blocks, the blocks, their rows divided by the thread count, are shared
+    between min(usable CPUs, its blocks) threads, the calling one included, each under a copy
+    of the caller's context (where numpy >= 2 keeps np.errstate); rows(s) must then be safe
+    to call while another block is being filled. All threads are joined before the first
+    exception raised in any of them reaches the caller.
+    """
     sizes = [_lane_size(n, idx) for idx in (0, 1)]
     plans = {m: lane(m) for m in dict.fromkeys(sizes)}  # an even order's lanes share one plan
     out = np.zeros((n, n), dtype=complex)
+    # a second thread repays its start-up only once the larger lane, filled alone, takes over two blocks
+    blocks = max(-(-m // _block_rows(m)) for m in plans)
+    workers = min(_usable_cpus(), blocks) if blocks > 2 else 1
+    tasks = []
     for m, rows in plans.items():
-        step, targets = _block_rows(m), [out[idx::2, idx::2] for idx in (0, 1) if sizes[idx] == m]
-        for start in range(0, m, step):
-            values = rows(block := slice(start, min(start + step, m)))
-            for view in targets:
-                view[block] = values
+        step, targets = _block_rows(m, workers), [out[idx::2, idx::2] for idx in (0, 1) if sizes[idx] == m]
+        tasks += [(rows, slice(start, min(start + step, m)), targets) for start in range(0, m, step)]
+    errors: list = []
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(_fill, tasks[k::workers], errors))
+        for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        _fill(tasks[::workers], errors)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

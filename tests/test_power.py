@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -360,6 +360,34 @@ class TestSpectralRoute:
                     call()
 
 
+# |a| and |b| anywhere from 2**-1000 to 2**1000, at any phase
+_WIDE_BAND = st.builds(cmath.rect, st.floats(-1000, 1000).map(lambda octave: 2.0**octave), st.floats(0, 2 * np.pi))
+
+
+class TestRefereesAcrossTheDoubleRange:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(3, 64), r=st.integers(1, 10**6), a=_WIDE_BAND, b=_WIDE_BAND)
+    # the lane's matmul overflowed to inf and its rounding check passed inf <= inf
+    @example(n=23, r=3, a=6.53011537922499e109, b=3.504953995012629e55)
+    # a leaked "overflow encountered in multiply", then a refusal naming a largest entry of nan
+    @example(n=8, r=14, a=4.689909136959301e-88, b=5.26521860925708e103)
+    def test_referees_return_finite_values_or_refuse(self, n, r, a, b):
+        spec = MatrixSpec(n=n, a=a, b=b)
+        calls = [
+            lambda: [power_via_spectral(PowerRequest(spec=spec, r=r))],
+            lambda: [power_entry(spec, r, 1, 3)],
+            lambda: (lambda d: [d.eigenvalues, d.transform, d.inverse_transform])(transform(spec)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    arrays = call()
+                except ArithmeticError:
+                    continue
+                assert all(np.isfinite(array).all() for array in arrays)
+
+
 def _deviation(n, a, b, r):
     """max |power_matrix - naive_power| over the oracle's largest modulus (no max(1, .) floor)."""
     spec = MatrixSpec(n=n, a=a, b=b)
@@ -448,6 +476,20 @@ class TestDoubleRange:
         monkeypatch.setattr(power_module, "_diagonal_weights", weights)
         with pytest.raises(OverflowError, match=r"^the entries of A\*\*1 span more than the double range$"):
             power_matrix(_request(4, 1, 1, 1))
+
+    @pytest.mark.parametrize("n", [8, 600])
+    def test_a_nan_weight_is_refused(self, monkeypatch, n):
+        # white-box: neither of the kernel's refusals may let a NaN through to the matrix
+        weights = power_module._diagonal_weights
+
+        def nan_weight(m, a, b, r):
+            out, e = weights(m, a, b, r)
+            out[m - 1] = complex("nan")
+            return out, e
+
+        monkeypatch.setattr(power_module, "_diagonal_weights", nan_weight)
+        with pytest.raises(ArithmeticError):
+            power_matrix(_request(n, 0.5, 0.5j, 10))
 
     @pytest.mark.parametrize("r", [1200, 5000])
     def test_scale_carried_outside_the_double_range(self, r):

@@ -1,5 +1,10 @@
 import cmath
 import math
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +13,16 @@ from numpy.testing import assert_allclose
 from pentapower import (
     DerivedScalars,
     MatrixSpec,
+    PowerRequest,
     build_dense,
     determinant,
+    power_matrix,
+    power_via_spectral,
+    spectrum,
     transform,
 )
 from pentapower.oracle import band_pairs
-from pentapower.spectrum import _by_lanes, _eigenvalues, _even_nodes
+from pentapower.spectrum import _by_lanes, _eigenvalues, _even_nodes, _lane_size
 
 
 def _residuals(spec, decomposition):
@@ -210,3 +219,138 @@ class TestLaneAssembly:
         with pytest.raises(OverflowError, match="size 3"):
             _by_lanes(7, self._recording(calls, refuse=3))
         assert calls == [("plan", 4), ("plan", 3)]
+
+    @pytest.mark.parametrize("n", [513, 724])
+    def test_two_blocks_are_filled_by_the_calling_thread(self, monkeypatch, n):
+        # the larger lane (m = 257 or 362) takes two blocks alone: a second thread would not pay
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 8)
+        threads = []
+        out = _by_lanes(n, lambda m: lambda s: threads.append(threading.current_thread()) or np.ones((s.stop - s.start, m)))
+        assert threads == [threading.main_thread()] * (2 + n % 2)  # n = 513's lane 1 (m = 256) is one block
+        assert np.count_nonzero(out) == _lane_size(n, 0) ** 2 + _lane_size(n, 1) ** 2
+
+    # the larger lane takes three blocks or more alone (m >= 363), so the blocks are shared from n = 725
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("n", [726, 1025, 2048])
+    def test_shared_blocks_are_planned_first_and_written_once(self, monkeypatch, n, workers):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: workers)
+        calls = []
+
+        def lane(m):
+            calls.append(("plan", m))
+
+            def rows(s):
+                calls.append(("rows", m, s.start, s.stop, threading.get_ident()))
+                return np.full((s.stop - s.start, m), m + 1j * np.arange(s.start, s.stop)[:, None])
+
+            return rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads hand over the interpreter as often as they can
+        try:
+            out = _by_lanes(n, lane)
+        finally:
+            sys.setswitchinterval(interval)
+        threads = {call[-1] for call in calls if call[0] == "rows"}
+        assert 1 < len(threads) <= workers
+        calls = [call[:-1] if call[0] == "rows" else call for call in calls]
+        sizes = sorted({_lane_size(n, 0), _lane_size(n, 1)}, reverse=True)
+        assert calls[: len(sizes)] == [("plan", m) for m in sizes]
+        assert all(call[0] == "rows" for call in calls[len(sizes) :])
+        for m in sizes:
+            blocks = sorted(call[2:] for call in calls if call[:2] == ("rows", m))
+            assert len(blocks) > 1
+            assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+            assert blocks[-1][1] == m
+            # the blocks that all threads hold at once add up to no more than one 2**16-entry block
+            assert max(stop - start for start, stop in blocks) * m * len(threads) <= 2**16
+        for idx in (0, 1):
+            m = _lane_size(n, idx)
+            assert np.array_equal(out[idx::2, idx::2], m + 1j * np.arange(m)[:, None] + np.zeros(m))
+        assert np.all(out[0::2, 1::2] == 0) and np.all(out[1::2, 0::2] == 0)
+
+    def test_an_error_in_a_worker_reaches_the_caller_after_every_join(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 4)
+        before, raised, done = set(threading.enumerate()), threading.Event(), []
+
+        def lane(m):
+            step = spectrum._block_rows(m, 4)  # 16 rows: 64 blocks, the second one a worker's first
+
+            def rows(s):
+                if s.start == step:
+                    raised.set()
+                    raise ZeroDivisionError("the second block")
+                if threading.current_thread() is threading.main_thread():
+                    assert raised.wait(timeout=10)  # the caller's share ends after the error
+                else:
+                    time.sleep(0.005)  # while the other workers still run
+                    done.append(s.start)
+                return np.zeros((s.stop - s.start, m))
+
+            return rows
+
+        with pytest.raises(ZeroDivisionError, match="the second block"):
+            _by_lanes(2048, lane)
+        assert set(threading.enumerate()) == before
+        assert len(done) == 32  # the two workers that did not fail ran their shares to the end
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, workers):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: workers)
+        seen = []
+
+        def lane(m):
+            def rows(s):
+                in_worker = threading.current_thread() is not threading.main_thread()
+                seen.append(in_worker)
+                values = np.full((s.stop - s.start, m), 1e308)
+                return values * 10 if in_worker else values  # overflows in a worker only
+            return rows
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _by_lanes(1024, lane)
+        assert True in seen
+        seen.clear()
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            out = _by_lanes(1024, lane)
+        assert True in seen and False in seen
+        assert np.isinf(out).any()
+
+    @pytest.mark.parametrize("n", [513, 514, 1023, 1024, 1025, 2047, 2048])
+    def test_every_route_gives_the_same_bits_on_any_worker_count(self, monkeypatch, n):
+        def bits(call, workers):
+            monkeypatch.setattr(spectrum, "_usable_cpus", lambda: workers)
+            try:
+                return call().view(np.uint64)
+            except ArithmeticError as exc:
+                return repr(exc)
+
+        calls = []
+        for a, b in [(0.5, 0.5j), (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j)), (1, 0.25)]:
+            spec = MatrixSpec(n=n, a=a, b=b)
+            routes = [power_matrix, power_via_spectral] if n <= 1025 else [power_matrix]
+            calls += [lambda f=f, spec=spec, r=r: f(PowerRequest(spec=spec, r=r)) for f in routes for r in (1, 2, 10, 10**6)]
+            if n <= 1025:
+                calls.append(lambda spec=spec: (lambda d: np.stack((d.transform, d.inverse_transform)))(transform(spec)))
+        filled = 0
+        for call in calls:
+            reference = bits(call, 1)
+            filled += isinstance(reference, np.ndarray)
+            for workers in (2, 8):
+                other = bits(call, workers)
+                assert type(other) is type(reference) and np.array_equal(other, reference)
+        assert filled >= len(calls) // 2
+
+    @pytest.mark.parametrize("n", [2048, 2047])
+    def test_eight_workers_hold_one_block_beside_the_result(self, monkeypatch, n):
+        # eight 1 MiB blocks in flight would not fit in 4 MiB: the workers share one block's budget
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 8)
+        tracemalloc.start()
+        try:
+            result = power_matrix(PowerRequest(spec=MatrixSpec(n=n, a=0.5, b=0.5j), r=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes <= 4 * 2**20
