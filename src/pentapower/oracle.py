@@ -2,12 +2,13 @@
 
 Deliberately simple: dense complex arrays; repeated squaring for powers and
 LU with partial pivoting for determinants, each kept to the input's non-zero
-blocks or diagonals. Nothing in here knows about eigenvalues or closed forms,
-which makes these routines a fair referee for the fast paths.
+blocks (equal ones multiplied once) or diagonals. Nothing in here knows about
+eigenvalues or closed forms, which makes these routines a fair referee for the fast paths.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,36 +74,43 @@ def mat_mul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def naive_power(spec: MatrixSpec, r: int) -> np.ndarray:
     """A**r by repeated squaring on the blocks of index classes mod 4; r = 0 gives identity.
 
-    Padded with zeros to order 4q, q = ceil(n/4), the matrix is a grid of q x q blocks
-    [c, d] = rows c::4, columns d::4. Only blocks found non-zero are multiplied, by mat_mul:
-    an all-zero block adds only exact zeros to a finite product. A power of A has one block
-    per block row, so a product of two costs four (n/4)**3 block products, not one n**3.
+    Padded with zeros to order 4q, q = ceil(n/4), where n % 4 != 0, the matrix is a grid of q x q
+    blocks [c, d] = rows c::4, columns d::4. Only blocks found non-zero are multiplied, by mat_mul:
+    an all-zero block adds only exact zeros to a finite product; blocks found equal are held as one
+    array, whose products are made once. A power of A has one block per block row, so a product of
+    two costs four (n/4)**3 block products, not one n**3: two for even n, whose lanes are equal.
     """
-    r = int(r)
+    r = operator.index(r)
     if r < 0:
         raise ValueError(f"exponent must be >= 0, got {r}")
     if r == 0:
         return np.eye(spec.n, dtype=complex)
-    padded = np.pad(build_dense(spec), (0, -spec.n % 4))
-    base = {(c, d): padded[c::4, d::4] for c, d in np.ndindex(4, 4) if padded[c::4, d::4].any()}
+    dense = np.pad(build_dense(spec), (0, -spec.n % 4)) if spec.n % 4 else build_dense(spec)
+    base = {}
+    for c, d in np.ndindex(4, 4):
+        if (block := dense[c::4, d::4]).any():  # held contiguous, so @ does not copy it on every multiply
+            block = np.ascontiguousarray(block)
+            base[c, d] = next((held for held in base.values() if np.array_equal(held, block)), block)
     result = base
     for bit in bin(r)[3:]:  # the bits of r after the leading 1, high to low
         result = _block_product(result, result)
         if bit == "1":
             result = _block_product(result, base)
-    out = np.zeros_like(padded)
-    for (c, d), block in result.items():
-        out[c::4, d::4] = block
-    return np.ascontiguousarray(out[: spec.n, : spec.n])
+    for c, d in base.keys() | result.keys():  # dense is zero outside base's blocks, no longer read
+        dense[c::4, d::4] = result.get((c, d), 0)
+    return np.ascontiguousarray(dense[: spec.n, : spec.n])
 
 
 def _block_product(lhs: dict, rhs: dict) -> dict:
-    # block [c, e] of the product sums lhs[c, d] @ rhs[d, e] over the d that both sides hold
-    out = {}
+    # block [c, e] of the product sums lhs[c, d] @ rhs[d, e] over the d that both sides hold; the operands
+    # live through the call, so their ids name each distinct pair: multiplied once, never updated in place
+    out, products = {}, {}
     for (c, d), left in lhs.items():
         for (inner, e), right in rhs.items():
             if inner == d:
-                out[c, e] = out.get((c, e), 0) + mat_mul(left, right)
+                if (key := (id(left), id(right))) not in products:
+                    products[key] = mat_mul(left, right) + 0  # + 0 turns -0.0 (zero times a negative) into 0.0
+                out[c, e] = out[c, e] + products[key] if (c, e) in out else products[key]
     return out
 
 

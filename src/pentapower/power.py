@@ -46,6 +46,7 @@ dropped, so r = 0 is short-circuited to the identity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class PowerRequest:
     branch_flip: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "r", operator.index(self.r))
         if self.r < 0:
             raise ValueError(f"exponent must be >= 0, got {self.r}")
 
@@ -223,7 +224,7 @@ def _node_sum_lane(m: int, derived: DerivedScalars, r: int) -> np.ndarray:
 
 def power_entry(spec: MatrixSpec, r: int, i: int, j: int) -> complex:
     """Entry (i, j), 1-based, of the r-th power, r >= 1, from the node sum of its lane."""
-    r, i, j = int(r), int(i), int(j)
+    r, i, j = operator.index(r), operator.index(i), operator.index(j)
     if r < 1:
         raise ValueError(f"entry formulas require r >= 1, got {r}")
     for name, idx in (("i", i), ("j", j)):

@@ -86,7 +86,7 @@ class TestNaivePower:
         with pytest.raises(ValueError):
             naive_power(MatrixSpec(n=4, a=1, b=1), -1)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 64, 65, 66, 67])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 64, 65, 66, 67, 130, 131])
     def test_matches_numpys_dense_power(self, n):
         # np.linalg.matrix_power squares the whole n x n matrix: an independent referee
         # for the blocks of index classes mod 4 (every n mod 4; n = 3 has a one-vertex lane)
@@ -107,7 +107,8 @@ class TestNaivePower:
         assert np.isfinite(blocks).all() == np.isfinite(reference).all()
 
     def test_multiplies_only_the_non_zero_blocks(self, monkeypatch):
-        # 64 = 2**6: six squarings, each of four non-zero blocks of order 64 / 4 (one per block row)
+        # r = 64 = 2**6: six squarings, each of four non-zero q x q blocks, q = ceil(n / 4) (one per
+        # block row); an even order's two lanes give equal blocks, so each product is made once
         shapes = []
 
         def recording(lhs, rhs):
@@ -115,8 +116,16 @@ class TestNaivePower:
             return lhs @ rhs
 
         monkeypatch.setattr(oracle, "mat_mul", recording)
-        naive_power(MatrixSpec(n=64, a=2, b=1 + 1j), 64)
-        assert shapes == [((16, 16), (16, 16))] * 24
+        for n, calls, q in ((64, 12, 16), (66, 12, 17), (65, 24, 17)):
+            shapes.clear()
+            naive_power(MatrixSpec(n=n, a=2, b=1 + 1j), 64)
+            assert shapes == [((q, q), (q, q))] * calls, n
+
+    def test_rejects_a_non_integer_exponent(self):
+        spec = MatrixSpec(n=8, a=2, b=1 + 1j)
+        with pytest.raises(TypeError):
+            naive_power(spec, 2.5)
+        assert np.array_equal(naive_power(spec, np.int64(3)), naive_power(spec, 3))
 
     def test_semigroup(self):
         for n in (4, 7, 10):

@@ -79,6 +79,13 @@ class TestEntryFormulas:
         with pytest.raises(ValueError):
             power_entry(spec_even, 2, 1, 5)
 
+    def test_rejects_non_integer_arguments(self):
+        spec = MatrixSpec(n=8, a=2, b=3)
+        for r, i, j in ((2.5, 1, 3), (2, 1.0, 3), (2, 1, 3.5)):
+            with pytest.raises(TypeError):
+                power_entry(spec, r, i, j)
+        assert power_entry(spec, np.int64(2), np.int64(1), 3) == power_entry(spec, 2, 1, 3)
+
 
 def _assert_count_covers_lane(m, count):
     # the node sum keeps the first m // 2 nodes of a size-m lane and doubles each;
@@ -125,6 +132,13 @@ class TestPowerMatrix:
     def test_r_zero_is_identity(self):
         result = power_matrix(_request(5, 1, 1, 0))
         assert np.array_equal(result, np.eye(5, dtype=complex))
+
+    def test_rejects_a_non_integer_exponent(self):
+        # before any route runs: power_matrix and power_via_spectral take the request
+        with pytest.raises(TypeError):
+            _request(8, 2, 3, 2.5)
+        assert _request(8, 2, 3, np.int64(2)).r == 2
+        assert _request(8, 2, 3, 2**70).r == 2**70
 
     def test_even_band_power(self):
         # order 4, 7th power: a^4 b^3 on the +2 band, a^3 b^4 on the -2 band
