@@ -108,7 +108,7 @@ class TestNaivePower:
 
     def test_multiplies_only_the_non_zero_blocks(self, monkeypatch):
         # r = 64 = 2**6: six squarings, each of four non-zero q x q blocks, q = ceil(n / 4) (one per
-        # block row); an even order's two lanes give equal blocks, so each product is made once
+        # block row); an even order's two lanes give equal blocks, so each distinct product is made once
         shapes = []
 
         def recording(lhs, rhs):
