@@ -149,7 +149,7 @@ def _determinant_corollary(
     t: int, x, rel_tol: float
 ) -> tuple[VerificationReport, complex, complex]:
     """The corollary report with the LU determinant and the closed form it compared."""
-    t = int(t)
+    t = operator.index(t)
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     n = 4 * t

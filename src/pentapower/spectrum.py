@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import contextvars
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class MatrixSpec:
     b: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 3:
             raise ValueError(f"matrix order must be >= 3, got {self.n}")
         for name in ("a", "b"):

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,51 @@ class TestPowerCommand:
         result = runner.invoke(cli, args)
         assert result.exit_code == 3
         assert needed in result.stderr
+
+    @pytest.mark.parametrize("route", ["closed_form", "spectral", "oracle"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_order_beyond_its_working_set_exits_three(self, runner, tmp_path, monkeypatch, route, fmt):
+        # a cgroup v2 limit one byte below the counted working set refuses the order; the count itself admits it
+        limit = tmp_path / "memory.max"
+        monkeypatch.setattr(cli_module, "_CGROUP_MEMORY_MAX", str(limit))
+        needed = cli_module._POWER_CELL_BYTES * 8**2
+        args = ["power", "--n", "8", "--r", "3", "--route", route, "--format", fmt]
+        limit.write_text(f"{needed - 1}\n")
+        refused = runner.invoke(cli, args)
+        assert refused.exit_code == 3
+        assert refused.stdout == ""
+        assert f"order 8 needs {needed} bytes" in refused.stderr
+        assert f"more than {needed - 1} in memory" in refused.stderr
+        limit.write_text(f"{needed}\n")
+        assert runner.invoke(cli, args).exit_code == 0
+
+    @pytest.mark.parametrize("limit", ["max\n", None, "twice"], ids=["max", "missing", "above_physical"])
+    def test_memory_without_a_smaller_cgroup_limit_is_physical(self, runner, tmp_path, monkeypatch, limit):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        path = tmp_path / "memory.max"
+        if limit is not None:
+            path.write_text(f"{2 * physical}\n" if limit == "twice" else limit)
+        monkeypatch.setattr(cli_module, "_CGROUP_MEMORY_MAX", str(path))
+        result = runner.invoke(cli, ["power", "--n", "10000000", "--r", "2"])
+        assert result.exit_code == 3
+        assert f"more than {physical} in memory" in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_rss_stays_within_the_counted_working_set(self, tmp_path, fmt):
+        # the CLI's own high-water mark, read by a small launcher so that pytest's is not inherited
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+        def peak_kib(*args):
+            command = [sys.executable, str(Path(__file__).with_name("peak_rss.py")), sys.executable, *args]
+            done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return int(done.stdout)
+
+        imported = peak_kib("-c", "import pentapower.cli")
+        args = ["power", "--n", "512", "--r", "1000000", "--a", "0.5", "--b", "0.5i", "--format", fmt]
+        powered = peak_kib("-m", "pentapower.cli", *args, "--out", str(tmp_path / "power"))
+        assert powered <= imported + cli_module._POWER_CELL_BYTES * 512**2 // 1024
 
     @pytest.mark.parametrize(
         "args",
@@ -577,3 +626,99 @@ class TestBenchCommand:
     def test_malformed_list_exits_two(self, runner, flag, text):
         result = runner.invoke(cli, ["bench", "--n", "4", "--r", "1", flag, text])
         assert result.exit_code == 2
+
+
+def _per_cell(values, fmt, width, sep, row_sep):
+    """The block writer's reference: ``fmt`` of every cell, no table of distinct values."""
+    cells = [fmt(value) for value in values.tolist()]
+    return row_sep.join(sep.join(cells[i : i + width]) for i in range(0, len(cells), width))
+
+
+def _assert_same_text(written, expected):
+    # pytest's own diff of two megabyte strings takes minutes: report the first difference only
+    if written != expected:
+        at = next((i for i, pair in enumerate(zip(written, expected)) if pair[0] != pair[1]), len(expected))
+        pytest.fail(f"differs at {at}: {written[at - 30 : at + 30]!r} != {expected[at - 30 : at + 30]!r}")
+
+
+def _writer_values(size, seed):
+    """Seeded values: repeats, zeros and parts of either sign, and fresh ones that never repeat."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(
+        [0.0, -0.0, 1.5, -1.5, complex(-0.0, 2.0), complex(0.0, 2.0), complex(3.0, -0.0),
+         complex(-0.0, -0.0), complex(1e-300, 1e300), 0.1 + 0.2j, -7.0, 2.0],
+        dtype=complex,
+    )
+    fresh = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return np.where(rng.random(size) < 0.7, rng.choice(pool, size), fresh)
+
+
+def _colliding_keys(monkeypatch):
+    # keep 3 of the 64 key bits: distinct values share a key, and equal ones may be split apart
+    key = cli_module._sort_key
+    monkeypatch.setattr(cli_module, "_sort_key", lambda values: key(values) & np.uint64(7))
+
+
+_WRITER_MATRICES = {
+    "n3": lambda: _writer_values(9, 1).reshape(3, 3),
+    # 200 rows of 200 cells: the chunks of whole rows (163, then 37; csv 81, 81, 38) leave a remainder
+    "n200": lambda: _writer_values(200 * 200, 2).reshape(200, 200),
+    "zeros": lambda: np.where(np.arange(36) % 3 == 0, complex(-0.0, -0.0), 0j).reshape(6, 6),
+}
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("collide", [False, True], ids=["mixed_key", "colliding_key"])
+    @pytest.mark.parametrize("name", sorted(_WRITER_MATRICES))
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_power_formats_match_per_cell_formatting(self, monkeypatch, fmt, name, collide):
+        if collide:
+            _colliding_keys(monkeypatch)
+        matrix = _WRITER_MATRICES[name]()
+        n = matrix.shape[0]
+        if fmt == "json":
+            spec = MatrixSpec(n=n, a=0.5, b=-0.0 + 2j)
+            written = "".join(cli_module._matrix_json(matrix, spec, 7, "oracle", 42))
+            pairs = [[{"re": v.real + 0.0, "im": v.imag + 0.0} for v in row] for row in matrix.tolist()]
+            expected = json.dumps(
+                {"schema_version": "1", "n": n, "r": 7, "a": {"re": 0.5, "im": 0.0}, "b": {"re": 0.0, "im": 2.0},
+                 "rows": pairs, "meta": {"route": "oracle", "elapsed_ns": 42}}
+            )
+        elif fmt == "csv":
+            written = "".join(cli_module._matrix_csv(matrix))
+            header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
+            parts = np.ravel(matrix).view(np.float64)
+            expected = f"{header}\n{_per_cell(parts, cli_module._format_float, 2 * n, ',', chr(10))}"
+        else:
+            written = "".join(cli_module._matrix_pretty(matrix))
+            width = max(len(format_complex(v)) for v in matrix.ravel().tolist())
+            expected = _per_cell(np.ravel(matrix), lambda v: format_complex(v).rjust(width), n, "  ", "\n")
+        _assert_same_text(written, expected)
+
+    @pytest.mark.parametrize("collide", [False, True], ids=["mixed_key", "colliding_key"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_eig_formats_match_per_cell_formatting(self, runner, monkeypatch, fmt, collide):
+        # 40000 values: csv chunks of 16384 rows and pretty ones of 32768 leave a remainder
+        if collide:
+            _colliding_keys(monkeypatch)
+        values = _writer_values(40_000, 3)
+        monkeypatch.setattr(cli_module, "_eigenvalues", lambda spec: values)
+        result = runner.invoke(cli, ["eig", "--n", "40000", "--a", "2", "--b", "1+1i", "--format", fmt])
+        assert result.exit_code == 0
+        if fmt == "json":
+            expected = json.dumps(
+                {"schema_version": "1", "n": 40000, "a": {"re": 2.0, "im": 0.0}, "b": {"re": 1.0, "im": 1.0},
+                 "parity": "even", "eigenvalues": [{"re": v.real + 0.0, "im": v.imag + 0.0} for v in values.tolist()]}
+            )
+        elif fmt == "csv":
+            expected = "re,im\n" + _per_cell(values.view(np.float64), cli_module._format_float, 2, ",", "\n")
+        else:
+            expected = _per_cell(values, format_complex, 1, "", "\n")
+        _assert_same_text(result.output, expected + "\n")
+
+    def test_a_colliding_key_formats_a_value_twice_but_never_wrongly(self, monkeypatch):
+        _colliding_keys(monkeypatch)
+        values = _writer_values(200 * 200, 2)
+        texts, index = cli_module._text_table(values, cli_module._json_pair)
+        assert len(set(texts.tolist())) < len(texts)
+        _assert_same_text("\n".join(texts[index].tolist()), "\n".join(map(cli_module._json_pair, values.tolist())))

@@ -230,6 +230,11 @@ class TestCorollaryCheck:
         with pytest.raises(ValueError):
             determinant_corollary_check(0, 1)
 
+    def test_rejects_a_non_integer_t(self):
+        with pytest.raises(TypeError):
+            determinant_corollary_check(2.5, 1)
+        assert determinant_corollary_check(np.int64(2), 1) == determinant_corollary_check(2, 1)
+
     def test_zeroed_determinant_fails_a_small_formula(self, monkeypatch):
         # the formula (0.1i)**16 is 1e-16: only a max(1, |formula|) floor would pass a zero
         monkeypatch.setattr(oracle, "determinant", lambda matrix: 0j)

@@ -51,6 +51,11 @@ class TestMatrixSpec:
         with pytest.raises(ValueError):
             MatrixSpec(n=4, a=float("inf"), b=1)
 
+    def test_rejects_a_non_integer_order(self):
+        with pytest.raises(TypeError):
+            MatrixSpec(n=4.5, a=1, b=1)
+        assert MatrixSpec(n=np.int64(5), a=1, b=1).n == 5
+
 
 class TestDerivedScalars:
     def test_roots_square_back(self):
