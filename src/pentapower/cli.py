@@ -3,7 +3,8 @@
 Subcommands: power, eig, verify, det, bench. JSON is the default output
 format where a document makes sense; csv and pretty are available too.
 Each distinct value is formatted once, and documents are written a chunk of
-rows at a time, so no string holds a whole matrix.
+rows at a time, so no string holds a whole matrix; power's closed form is
+written straight from its two lanes, and no n x n array is made.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error (valid flags, but bad matrix parameters, an order beyond memory, a
 power, eigenvalue or determinant beyond doubles, or an unresolvable sum).
@@ -29,7 +30,7 @@ import click
 import numpy as np
 
 from .oracle import _determinant_corollary, band_pairs, compare, naive_power
-from .power import PowerRequest, power_matrix, power_via_spectral
+from .power import PowerRequest, power_lanes, power_matrix, power_via_spectral
 from .spectrum import MatrixSpec, _eigenvalues
 
 _REAL = r"[+-]?\d+(?:\.\d+)?"
@@ -121,7 +122,7 @@ def _text_table(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
     ``_sort_key`` order gets one text; values sharing a key can split a run, never take another's text.
     """
     index = np.zeros(values.size, dtype=np.int32 if values.size < 2**31 else np.intp)
-    nonzero = np.flatnonzero(values)
+    nonzero = np.flatnonzero(values).astype(index.dtype)  # int32: the sort's temporaries stay resident once freed
     nonzero = nonzero[np.argsort(_sort_key(values[nonzero]))]
     picked = values[nonzero]
     first = np.ones(picked.size, dtype=bool)
@@ -131,22 +132,45 @@ def _text_table(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
     return np.array([fmt(v) for v in [values.dtype.type().item(), *picked.tolist()]], dtype=object), index
 
 
-def _chunks(
-    texts: np.ndarray, index: np.ndarray, width: int, sep: str, row_sep: str, head: str = "", tail: str = ""
-) -> Iterator[str]:
-    """``head``, ``texts[index]`` in rows of ``width``, then ``tail``, joined about 2**15 cells of whole rows
-    at a time: at n = 1024 on 2 vCPUs, 2**12 to 2**17 cells wrote the JSON within one run-to-run spread."""
-    step = width * max(1, 2**15 // width)
-    for start in range(0, index.size, step):
-        cells = texts[index[start : start + step]].tolist()
+def _csv_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_text_table`` with ``re,im`` texts: each distinct value's parts, each distinct part formatted once."""
+    distinct, index = _text_table(values, complex)  # the distinct values themselves, then as an array
+    distinct = distinct.astype(complex)
+    parts, at = _text_table(distinct.view(np.float64), _format_float)
+    pairs = zip(parts[at[0::2]].tolist(), parts[at[1::2]].tolist())
+    return np.array([f"{re},{im}" for re, im in pairs], dtype=object), index
+
+
+def _as_lanes(matrix) -> tuple[np.ndarray, ...]:
+    # power.power_lanes gives a tuple of lanes; any other matrix is its own one lane
+    return matrix if isinstance(matrix, tuple) else (matrix,)
+
+
+def _lane_table(matrix, table) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``table`` over the one or two distinct arrays of a matrix's lanes at once: the texts, and each lane's index."""
+    lanes = _as_lanes(matrix)
+    distinct = list({id(lane): lane for lane in lanes}.values())
+    flat = [np.ravel(np.asarray(lane, dtype=complex)) for lane in distinct]  # the bits _sort_key reads
+    texts, index = table(np.concatenate(flat) if flat[1:] else flat[0])
+    shaped = {id(lane): part.reshape(lane.shape) for lane, part in zip(distinct, np.split(index, [lanes[0].size]))}
+    return texts, [shaped[id(lane)] for lane in lanes]  # lanes that share an array share its index
+
+
+def _chunks(texts: np.ndarray, lanes: list, sep: str, row_sep: str, head: str = "", tail: str = "") -> Iterator[str]:
+    """``head``, ``texts[index]`` for each 2-D ``index`` of k ``lanes``, then ``tail``, joined about 2**15 cells of
+    whole rows at a time (at n = 1024 on 2 vCPUs, 2**12 to 2**17 cells wrote the JSON within one run-to-run spread).
+    Lane p's row i is row k*i + p, at columns p, p + k, ... and text 0 elsewhere; lane 0 has the most rows, at most
+    one more than any other. An even order's two lanes are one index array, whose rows are joined once for both."""
+    k, width, zero = len(lanes), sum(index.shape[1] for index in lanes), texts[0]
+    joiner, step = sep + (zero + sep) * (k - 1), max(1, 2**15 // (k * width))
+    ends = [((zero + sep) * p, (sep + zero) * (width - 1 - p - k * lane.shape[1] + k)) for p, lane in enumerate(lanes)]
+    distinct = lanes[:1] if lanes[0] is lanes[-1] else lanes
+    for start in range(0, lanes[0].shape[0], step):
+        joined = [[joiner.join(row) for row in texts[lane[start : start + step]].tolist()] for lane in distinct]
+        rows = [[pre + line + post for line in joined[p % len(joined)]] for p, (pre, post) in enumerate(ends)]
         yield row_sep if start else head
-        yield row_sep.join([sep.join(cells[i : i + width]) for i in range(0, len(cells), width)])
+        yield row_sep.join([line for group in zip(*rows) for line in group] + rows[0][len(rows[-1]) :])
     yield tail
-
-
-def _parts(values: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts interleaved, as the CSV columns list them."""
-    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(np.float64)
 
 
 def _json_pair(value: complex) -> str:
@@ -154,30 +178,30 @@ def _json_pair(value: complex) -> str:
     return '{"re": %r, "im": %r}' % (value.real + 0.0, value.imag + 0.0)
 
 
-def _matrix_json(matrix: np.ndarray, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
+def _matrix_json(matrix, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
     """The JSON document in chunks; the text table is built, and NaN refused, before this returns."""
-    if not np.isfinite(matrix).all():
+    if not all(np.isfinite(lane).all() for lane in _as_lanes(matrix)):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps(
         {"schema_version": "1", "n": spec.n, "r": r, "a": _pair(spec.a), "b": _pair(spec.b)},
         allow_nan=False,
     )
-    texts, index = _text_table(np.ravel(matrix), _json_pair)
+    texts, lanes = _lane_table(matrix, functools.partial(_text_table, fmt=_json_pair))
     meta = json.dumps({"route": route, "elapsed_ns": elapsed_ns})
-    return _chunks(texts, index, matrix.shape[1], ", ", "], [", f'{head[:-1]}, "rows": [[', f']], "meta": {meta}}}')
+    return _chunks(texts, lanes, ", ", "], [", f'{head[:-1]}, "rows": [[', f']], "meta": {meta}}}')
 
 
-def _matrix_csv(matrix: np.ndarray) -> Iterator[str]:
-    n = matrix.shape[0]
-    header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
-    return _chunks(*_text_table(_parts(matrix), _format_float), 2 * n, ",", "\n", header + "\n")
+def _matrix_csv(matrix) -> Iterator[str]:
+    texts, lanes = _lane_table(matrix, _csv_table)
+    header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, sum(lane.shape[1] for lane in lanes) + 1))
+    return _chunks(texts, lanes, ",", "\n", header + "\n")
 
 
-def _matrix_pretty(matrix: np.ndarray) -> Iterator[str]:
-    texts, index = _text_table(np.ravel(matrix), format_complex)
+def _matrix_pretty(matrix) -> Iterator[str]:
+    texts, lanes = _lane_table(matrix, functools.partial(_text_table, fmt=format_complex))
     width = max(map(len, texts))
     texts = np.array([text.rjust(width) for text in texts], dtype=object)
-    return _chunks(texts, index, matrix.shape[1], "  ", "\n")
+    return _chunks(texts, lanes, "  ", "\n")
 
 
 _ROUTES = {
@@ -185,10 +209,12 @@ _ROUTES = {
     "spectral": lambda spec, r: power_via_spectral(PowerRequest(spec=spec, r=r)),
     "oracle": naive_power,
 }
+# what power writes: the closed form's lanes, with no n x n matrix
+_POWER_ROUTES = {**_ROUTES, "closed_form": lambda spec, r: power_lanes(PowerRequest(spec=spec, r=r))}
 
 
-# Peak RSS of `power` above the import's, per cell, at n = 2048 (Python 3.11, numpy 2.4): 34-39 B
-# by the closed form, 39-43 B by the oracle, 48-60 B by the spectral route; 64 B covers them all.
+# Peak RSS of `power` above the import's, per cell, at n = 2048, r = 10**6, a = 0.5, b = 0.5i (Python 3.11,
+# numpy 2.4): 18-21 B by the closed form's lanes, 41-45 B by the oracle, 46-65 B by the spectral route.
 _POWER_CELL_BYTES = 64
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
@@ -201,17 +227,17 @@ def _require_memory(n: int, cell_bytes: int) -> None:
         raise DomainError(f"order {n} needs {needed} bytes ({16 * n**2} bytes per array), more than {memory} in memory")
 
 
-def _computed(route: str, spec: MatrixSpec, r: int) -> np.ndarray:
-    """The route's r-th power, or a domain error where r, memory, doubles or rounding fail it."""
+def _computed(route: str, spec: MatrixSpec, r: int, routes: dict = _ROUTES) -> np.ndarray | tuple[np.ndarray, ...]:
+    """The route's r-th power from ``routes``, or a domain error where r, memory, doubles or rounding fail it."""
     if r < 0:
         raise DomainError(f"exponent must be >= 0, got {r}")
     _require_memory(spec.n, 16)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = _ROUTES[route](spec, r)
+            matrix = routes[route](spec, r)
     except ArithmeticError as exc:
         raise DomainError(str(exc)) from exc
-    if not np.isfinite(matrix).all():
+    if not all(np.isfinite(lane).all() for lane in _as_lanes(matrix)):
         raise DomainError(f"A**{r} by the {route} route went beyond the double range")
     return matrix
 
@@ -238,7 +264,7 @@ def power_cmd(n, r, a, b, route, fmt, out):
     spec = _make_spec(n, a, b)
     _require_memory(spec.n, _POWER_CELL_BYTES)
     start = time.perf_counter_ns()
-    matrix = _computed(route, spec, r)
+    matrix = _computed(route, spec, r, _POWER_ROUTES)
     elapsed_ns = time.perf_counter_ns() - start
     if fmt == "json":
         chunks = _matrix_json(matrix, spec, r, route, elapsed_ns)
@@ -265,12 +291,12 @@ def eig_cmd(n, a, b, fmt, out):
     if fmt == "json":
         parity = "even" if spec.is_even else "odd"
         head = json.dumps({"schema_version": "1", "n": spec.n, "a": _pair(spec.a), "b": _pair(spec.b), "parity": parity})
-        texts, index = _text_table(values, _json_pair)
-        chunks = _chunks(texts, index, values.size, ", ", "", f'{head[:-1]}, "eigenvalues": [', "]}")
+        texts, lanes = _lane_table(values[None, :], functools.partial(_text_table, fmt=_json_pair))
+        chunks = _chunks(texts, lanes, ", ", "", f'{head[:-1]}, "eigenvalues": [', "]}")
     elif fmt == "csv":
-        chunks = _chunks(*_text_table(_parts(values), _format_float), 2, ",", "\n", "re,im\n")
+        chunks = _chunks(*_lane_table(values[:, None], _csv_table), "", "\n", "re,im\n")
     else:
-        chunks = _chunks(*_text_table(values, format_complex), 1, "", "\n")
+        chunks = _chunks(*_lane_table(values[:, None], functools.partial(_text_table, fmt=format_complex)), "", "\n")
     _emit(chunks, out)
 
 

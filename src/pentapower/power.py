@@ -63,6 +63,7 @@ from .spectrum import (
     _int_powers,
     _lane_size,
     _lane_tables,
+    _lanes,
 )
 
 __all__ = [
@@ -250,6 +251,12 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     if req.r == 0:
         return np.eye(spec.n, dtype=complex)
     return _by_lanes(spec.n, lambda m: _walk_lane(m, spec, req.r))
+
+
+def power_lanes(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
+    """power_matrix's lanes 0 and 1, rows and columns 1, 3, ... and 2, 4, ..., with its refusals; 0 elsewhere."""
+    spec, r = req.spec, req.r
+    return _lanes(spec.n, lambda m: np.eye(m, dtype=complex).__getitem__ if r == 0 else _walk_lane(m, spec, r))
 
 
 def power_via_spectral(req: PowerRequest) -> np.ndarray:

@@ -191,6 +191,13 @@ def _by_lanes(n: int, lane) -> np.ndarray:
     return out
 
 
+def _lanes(n: int, lane) -> tuple[np.ndarray, np.ndarray]:
+    """_by_lanes' lanes 0 and 1 alone, each one rows(slice(0, m)) call, after every lane(m); even n's are one array."""
+    plans = {m: lane(m) for m in dict.fromkeys(_lane_size(n, idx) for idx in (0, 1))}
+    filled = {m: rows(slice(0, m)) for m, rows in plans.items()}
+    return filled[_lane_size(n, 0)], filled[_lane_size(n, 1)]
+
+
 def _eigenvalues(spec: MatrixSpec, branch_flip: bool = False) -> np.ndarray:
     """All n eigenvalues in index order, with multiplicity: sqrt(ab) * (2 * node). Doubling
     the node is exact, and unlike doubling sqrt(ab) it cannot overflow before the node scales."""

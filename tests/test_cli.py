@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from pentapower import MatrixSpec, PowerRequest, power_matrix, transform
 from pentapower import cli as cli_module
 from pentapower import oracle as oracle_module
+from pentapower import power as power_module
+from pentapower import spectrum as spectrum_module
 from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 
 
@@ -716,9 +719,77 @@ class TestBlockWriter:
             expected = _per_cell(values, format_complex, 1, "", "\n")
         _assert_same_text(result.output, expected + "\n")
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_a_real_matrix_prints_as_its_complex_copy(self, fmt, dtype):
+        # _sort_key reads complex bits: an int64 matrix of 9 cells, read as 4.5 complex values, lost a cell
+        spec = MatrixSpec(n=3, a=1, b=1)
+        write = {"json": lambda m: cli_module._matrix_json(m, spec, 1, "oracle", 0),
+                 "csv": cli_module._matrix_csv, "pretty": cli_module._matrix_pretty}[fmt]
+        matrix = np.arange(-4, 5).reshape(3, 3)
+        assert "".join(write(matrix.astype(dtype))) == "".join(write(matrix.astype(complex)))
+
     def test_a_colliding_key_formats_a_value_twice_but_never_wrongly(self, monkeypatch):
         _colliding_keys(monkeypatch)
         values = _writer_values(200 * 200, 2)
         texts, index = cli_module._text_table(values, cli_module._json_pair)
         assert len(set(texts.tolist())) < len(texts)
         _assert_same_text("\n".join(texts[index].tolist()), "\n".join(map(cli_module._json_pair, values.tolist())))
+
+
+def _per_cell_document(matrix, fmt, a, b, r):
+    """``power``'s document for an n x n matrix, every cell formatted on its own (each distinct one once)."""
+    n = matrix.shape[0]
+    if fmt == "json":
+        pair = functools.lru_cache(maxsize=None)(lambda v: json.dumps({"re": v.real + 0.0, "im": v.imag + 0.0}))
+        head = json.dumps({"schema_version": "1", "n": n, "r": r, "a": cli_module._pair(a), "b": cli_module._pair(b)})
+        meta = json.dumps({"route": "closed_form", "elapsed_ns": 0})
+        return f'{head[:-1]}, "rows": [[{_per_cell(np.ravel(matrix), pair, n, ", ", "], [")}]], "meta": {meta}}}'
+    if fmt == "csv":
+        header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
+        part = functools.lru_cache(maxsize=None)(cli_module._format_float)
+        return f"{header}\n{_per_cell(np.ravel(matrix).view(np.float64), part, 2 * n, ',', chr(10))}"
+    width = max(len(format_complex(v)) for v in np.ravel(matrix).tolist())
+    cell = functools.lru_cache(maxsize=None)(lambda v: format_complex(v).rjust(width))
+    return _per_cell(np.ravel(matrix), cell, n, "  ", "\n")
+
+
+class TestLaneWriter:
+    """``power``'s closed form hands the writer its two lanes; the bytes are those of its n x n matrix."""
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 300])
+    @pytest.mark.parametrize("a,b", [("2", "1+1i"), ("0.5", "0.5i")])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 200, 201])
+    def test_power_matches_per_cell_formatting_of_the_matrix(self, runner, n, fmt, a, b, r):
+        # n = 3 has a one-cell lane; at 200 and 201 the chunks of whole rows leave a remainder
+        args = ["power", "--n", str(n), "--r", str(r), "--a", a, "--b", b, "--format", fmt]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.stderr
+        spec = MatrixSpec(n=n, a=parse_complex(a), b=parse_complex(b))
+        expected = _per_cell_document(power_matrix(PowerRequest(spec=spec, r=r)), fmt, spec.a, spec.b, r)
+        _assert_same_text(re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', result.output), expected + "\n")
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_an_even_orders_rows_share_one_index(self, n):
+        lanes = power_module.power_lanes(PowerRequest(spec=MatrixSpec(n=n, a=2, b=1 + 1j), r=7))
+        _, (first, second) = cli_module._lane_table(lanes, cli_module._csv_table)
+        assert (first is second) == (n % 2 == 0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_closed_form_builds_no_n_by_n_matrix(self, runner, monkeypatch, fmt):
+        def assembled(n, lane):
+            raise AssertionError(f"an order-{n} matrix was assembled")
+
+        monkeypatch.setattr(spectrum_module, "_by_lanes", assembled)
+        monkeypatch.setattr(power_module, "_by_lanes", assembled)
+        args = ["power", "--route", "closed_form", "--format", fmt]
+        for n in ("8", "9"):
+            assert runner.invoke(cli, [*args, "--n", n, "--r", "7", "--a", "2", "--b", "1+1i"]).exit_code == 0
+        refusals = {"about 1e417": ["--n", "8", "--r", "2000"]}
+        refusals["span more than"] = ["--n", "2400", "--r", "1169", "--b", "0.01"]
+        for reason, refused in refusals.items():
+            result = runner.invoke(cli, [*args, *refused])
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert reason in result.stderr

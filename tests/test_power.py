@@ -19,7 +19,7 @@ from pentapower import (
 )
 from pentapower import power as power_module
 from pentapower.oracle import band_pairs
-from pentapower.power import _MODES_FROM
+from pentapower.power import _MODES_FROM, power_lanes
 from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size, transform
 
 
@@ -270,6 +270,39 @@ class TestPowerMatrix:
     def test_lane_blocks_match_oracle(self, n, r):
         # a size-300 lane is written as a 218-row block and an 82-row block; n = 3 has a size-1 lane
         assert _deviation(n, *EQUAL_MODULI, r) <= 1e-12
+
+
+class TestPowerLanes:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 600, 601])
+    @pytest.mark.parametrize("r", [0, 1, 7, 301])
+    def test_lanes_are_the_matrix_lanes_bit_for_bit(self, n, r):
+        # n = 3 has a size-1 lane; at 600 and 601 power_matrix fills its lanes in several row blocks
+        request = _request(n, *EQUAL_MODULI, r)
+        matrix, lanes = power_matrix(request), power_lanes(request)
+        for p, lane in enumerate(lanes):
+            assert lane.shape == (_lane_size(n, p),) * 2
+            assert lane.tobytes() == np.ascontiguousarray(matrix[p::2, p::2]).tobytes()
+        assert not matrix[0::2, 1::2].any() and not matrix[1::2, 0::2].any()
+        assert (lanes[0] is lanes[1]) == (n % 2 == 0)
+
+    @pytest.mark.parametrize(
+        "n,a,b,r,reason", [(8, 1, 1, 2000, "about 1e417"), (2400, 1, 0.01, 1169, "span more than")]
+    )
+    def test_refusals_are_power_matrix_refusals(self, n, a, b, r, reason):
+        for route in (power_matrix, power_lanes):
+            with pytest.raises(OverflowError, match=reason):
+                route(_request(n, a, b, r))
+
+    @pytest.mark.parametrize("n", [2048, 2047])
+    def test_holds_its_lanes_and_no_matrix(self, n):
+        # the n x n result alone would be 64 MiB; the lanes are 16 MiB, or 32 MiB for an odd order
+        tracemalloc.start()
+        try:
+            lanes = power_lanes(_request(n, 0.5, 0.5j, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(lane.nbytes for lane in {id(lane): lane for lane in lanes}.values()) <= 4 * 2**20
 
 
 class TestSpectralRoute:
