@@ -9,6 +9,8 @@ one array per order); ipow takes any Python int exponent >= 0, past int64 too.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["chebyshev_u_sequence", "ipow"]
@@ -16,7 +18,7 @@ __all__ = ["chebyshev_u_sequence", "ipow"]
 
 def chebyshev_u_sequence(m_max: int, x) -> list:
     """[U_0(x), ..., U_{m_max}(x)] with U_0 = 1, U_1 = 2x, U_{k+1} = 2x*U_k - U_{k-1}."""
-    m_max = int(m_max)
+    m_max = operator.index(m_max)
     if m_max < 0:
         raise ValueError(f"polynomial order must be >= 0, got {m_max}")
     x = np.asarray(x, dtype=complex) if np.ndim(x) else complex(x)

@@ -3,8 +3,9 @@
 Subcommands: power, eig, verify, det, bench. JSON is the default output
 format where a document makes sense; csv and pretty are available too.
 Each distinct value is formatted once, and documents are written a chunk of
-rows at a time, so no string holds a whole matrix; power's closed form is
-written straight from its two lanes, and no n x n array is made.
+rows at a time, so no string holds a whole matrix. Every route returns the
+power's two lanes, and power, verify and bench read those alone: no n x n
+array reaches a writer or a comparison.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error (valid flags, but bad matrix parameters, an order beyond memory, a
 power, eigenvalue or determinant beyond doubles, or an unresolvable sum).
@@ -30,8 +31,9 @@ import click
 import numpy as np
 
 from .oracle import _determinant_corollary, band_pairs, compare, naive_power
-from .power import PowerRequest, power_lanes, power_matrix, power_via_spectral
-from .spectrum import MatrixSpec, _eigenvalues
+from .power import PowerRequest, power_lanes, power_via_spectral
+from .power import power_matrix  # noqa: F401  unused here; the benchmark's traced run looks it up on this module
+from .spectrum import MatrixSpec, _eigenvalues, _lane_copies
 
 _REAL = r"[+-]?\d+(?:\.\d+)?"
 _IMAG = r"[+-]?(?:\d+(?:\.\d+)?)?i"
@@ -137,18 +139,14 @@ def _csv_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct, index = _text_table(values, complex)  # the distinct values themselves, then as an array
     distinct = distinct.astype(complex)
     parts, at = _text_table(distinct.view(np.float64), _format_float)
+    distinct = None  # freed before the pairs are made
     pairs = zip(parts[at[0::2]].tolist(), parts[at[1::2]].tolist())
     return np.array([f"{re},{im}" for re, im in pairs], dtype=object), index
 
 
-def _as_lanes(matrix) -> tuple[np.ndarray, ...]:
-    # power.power_lanes gives a tuple of lanes; any other matrix is its own one lane
-    return matrix if isinstance(matrix, tuple) else (matrix,)
-
-
-def _lane_table(matrix, table) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``table`` over the one or two distinct arrays of a matrix's lanes at once: the texts, and each lane's index."""
-    lanes = _as_lanes(matrix)
+def _lane_table(lanes: tuple, table) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``table`` over the distinct arrays of ``lanes`` at once: the texts, and each lane's index. A route's lanes are
+    its power's lanes 0 and 1; any other matrix is the one lane of itself."""
     distinct = list({id(lane): lane for lane in lanes}.values())
     flat = [np.ravel(np.asarray(lane, dtype=complex)) for lane in distinct]  # the bits _sort_key reads
     texts, index = table(np.concatenate(flat) if flat[1:] else flat[0])
@@ -178,44 +176,41 @@ def _json_pair(value: complex) -> str:
     return '{"re": %r, "im": %r}' % (value.real + 0.0, value.imag + 0.0)
 
 
-def _matrix_json(matrix, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
+def _matrix_json(lanes: tuple, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
     """The JSON document in chunks; the text table is built, and NaN refused, before this returns."""
-    if not all(np.isfinite(lane).all() for lane in _as_lanes(matrix)):
+    if not all(np.isfinite(lane).all() for lane in lanes):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps(
         {"schema_version": "1", "n": spec.n, "r": r, "a": _pair(spec.a), "b": _pair(spec.b)},
         allow_nan=False,
     )
-    texts, lanes = _lane_table(matrix, functools.partial(_text_table, fmt=_json_pair))
+    texts, lanes = _lane_table(lanes, functools.partial(_text_table, fmt=_json_pair))
     meta = json.dumps({"route": route, "elapsed_ns": elapsed_ns})
     return _chunks(texts, lanes, ", ", "], [", f'{head[:-1]}, "rows": [[', f']], "meta": {meta}}}')
 
 
-def _matrix_csv(matrix) -> Iterator[str]:
-    texts, lanes = _lane_table(matrix, _csv_table)
+def _matrix_csv(lanes: tuple) -> Iterator[str]:
+    texts, lanes = _lane_table(lanes, _csv_table)
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, sum(lane.shape[1] for lane in lanes) + 1))
     return _chunks(texts, lanes, ",", "\n", header + "\n")
 
 
-def _matrix_pretty(matrix) -> Iterator[str]:
-    texts, lanes = _lane_table(matrix, functools.partial(_text_table, fmt=format_complex))
+def _matrix_pretty(lanes: tuple) -> Iterator[str]:
+    texts, lanes = _lane_table(lanes, functools.partial(_text_table, fmt=format_complex))
     width = max(map(len, texts))
     texts = np.array([text.rjust(width) for text in texts], dtype=object)
     return _chunks(texts, lanes, "  ", "\n")
 
 
+# Each route's r-th power as its lanes 0 and 1, and the bytes per cell that `power` by it counts: its peak RSS above
+# the import's over n**2 at r = 10**6, a = 0.5, b = 0.5i (Python 3.11, numpy 2.4, 2 vCPUs), the worst of json, csv
+# and pretty, at n = 511, 512, 1023, 1024, 2047, 2048: closed_form 73, 59, 48, 23, 48, 21; spectral 160, 125, 115,
+# 57, 107, 51; oracle 93, 79, 67, 46, 63, 44. Each count is a multiple of 8 about 10% above its route's worst.
 _ROUTES = {
-    "closed_form": lambda spec, r: power_matrix(PowerRequest(spec=spec, r=r)),
-    "spectral": lambda spec, r: power_via_spectral(PowerRequest(spec=spec, r=r)),
-    "oracle": naive_power,
+    "closed_form": (lambda spec, r: power_lanes(PowerRequest(spec=spec, r=r)), 80),
+    "spectral": (lambda spec, r: power_via_spectral(PowerRequest(spec=spec, r=r)), 176),
+    "oracle": (lambda spec, r: _lane_copies(naive_power(spec, r)), 104),  # the n x n matrix is dropped here
 }
-# what power writes: the closed form's lanes, with no n x n matrix
-_POWER_ROUTES = {**_ROUTES, "closed_form": lambda spec, r: power_lanes(PowerRequest(spec=spec, r=r))}
-
-
-# Peak RSS of `power` above the import's, per cell, at n = 2048, r = 10**6, a = 0.5, b = 0.5i (Python 3.11,
-# numpy 2.4): 18-21 B by the closed form's lanes, 41-45 B by the oracle, 46-65 B by the spectral route.
-_POWER_CELL_BYTES = 64
 _CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
 
 
@@ -227,19 +222,24 @@ def _require_memory(n: int, cell_bytes: int) -> None:
         raise DomainError(f"order {n} needs {needed} bytes ({16 * n**2} bytes per array), more than {memory} in memory")
 
 
-def _computed(route: str, spec: MatrixSpec, r: int, routes: dict = _ROUTES) -> np.ndarray | tuple[np.ndarray, ...]:
-    """The route's r-th power from ``routes``, or a domain error where r, memory, doubles or rounding fail it."""
+def _computed(route: str, spec: MatrixSpec, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lanes of the route's r-th power, or a domain error where r, memory, doubles or rounding fail it."""
     if r < 0:
         raise DomainError(f"exponent must be >= 0, got {r}")
     _require_memory(spec.n, 16)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = routes[route](spec, r)
+            lanes = _ROUTES[route][0](spec, r)
     except ArithmeticError as exc:
         raise DomainError(str(exc)) from exc
-    if not all(np.isfinite(lane).all() for lane in _as_lanes(matrix)):
+    if not all(np.isfinite(lane).all() for lane in lanes):
         raise DomainError(f"A**{r} by the {route} route went beyond the double range")
-    return matrix
+    return lanes
+
+
+def _flat(lanes: tuple) -> np.ndarray:
+    # every cell off the lanes is an exact 0 on every route, so comparing these compares the matrices
+    return np.concatenate([lane.ravel() for lane in lanes])
 
 
 @click.group()
@@ -252,26 +252,22 @@ def cli():
 @click.option("--r", type=int, required=True, help="Exponent (>= 0).")
 @click.option("--a", type=COMPLEX, default="1", help="Value on the +2 band.")
 @click.option("--b", type=COMPLEX, default="1", help="Value on the -2 band.")
-@click.option(
-    "--route",
-    type=click.Choice(["closed_form", "spectral", "oracle"]),
-    default="closed_form",
-)
+@click.option("--route", type=click.Choice(list(_ROUTES)), default="closed_form")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]), default="json")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def power_cmd(n, r, a, b, route, fmt, out):
     """Compute the r-th power and print it."""
     spec = _make_spec(n, a, b)
-    _require_memory(spec.n, _POWER_CELL_BYTES)
+    _require_memory(spec.n, _ROUTES[route][1])
     start = time.perf_counter_ns()
-    matrix = _computed(route, spec, r, _POWER_ROUTES)
+    lanes = _computed(route, spec, r)
     elapsed_ns = time.perf_counter_ns() - start
     if fmt == "json":
-        chunks = _matrix_json(matrix, spec, r, route, elapsed_ns)
+        chunks = _matrix_json(lanes, spec, r, route, elapsed_ns)
     elif fmt == "csv":
-        chunks = _matrix_csv(matrix)
+        chunks = _matrix_csv(lanes)
     else:
-        chunks = _matrix_pretty(matrix)
+        chunks = _matrix_pretty(lanes)
     _emit(chunks, out)
 
 
@@ -291,12 +287,12 @@ def eig_cmd(n, a, b, fmt, out):
     if fmt == "json":
         parity = "even" if spec.is_even else "odd"
         head = json.dumps({"schema_version": "1", "n": spec.n, "a": _pair(spec.a), "b": _pair(spec.b), "parity": parity})
-        texts, lanes = _lane_table(values[None, :], functools.partial(_text_table, fmt=_json_pair))
+        texts, lanes = _lane_table((values[None, :],), functools.partial(_text_table, fmt=_json_pair))
         chunks = _chunks(texts, lanes, ", ", "", f'{head[:-1]}, "eigenvalues": [', "]}")
     elif fmt == "csv":
-        chunks = _chunks(*_lane_table(values[:, None], _csv_table), "", "\n", "re,im\n")
+        chunks = _chunks(*_lane_table((values[:, None],), _csv_table), "", "\n", "re,im\n")
     else:
-        chunks = _chunks(*_lane_table(values[:, None], functools.partial(_text_table, fmt=format_complex)), "", "\n")
+        chunks = _chunks(*_lane_table((values[:, None],), functools.partial(_text_table, fmt=format_complex)), "", "\n")
     _emit(chunks, out)
 
 
@@ -326,8 +322,8 @@ def verify_cmd(n, r, a, b, seed, sweep, rel_tol):
     failures = 0
     for order, exponent, av, bv in cases:
         spec = _make_spec(order, av, bv)
-        candidate = _computed("closed_form", spec, exponent)
-        report = compare(candidate, _computed("oracle", spec, exponent), rel_tol)
+        candidate = _flat(_computed("closed_form", spec, exponent))
+        report = compare(candidate, _flat(_computed("oracle", spec, exponent)), rel_tol)
         status = "PASS" if report.passed else "FAIL"
         failures += 0 if report.passed else 1
         click.echo(
@@ -397,12 +393,7 @@ def _interleaved_ns(calls: list, repeats: int) -> list[list[int]]:
 @cli.command("bench")
 @click.option("--n", "n_list", required=True, help="Comma-separated orders.")
 @click.option("--r", "r_list", required=True, help="Comma-separated exponents.")
-@click.option(
-    "--route",
-    "route_list",
-    default="closed_form",
-    help="Comma-separated routes among closed_form, spectral, oracle.",
-)
+@click.option("--route", "route_list", default="closed_form", help=f"Comma-separated routes among {', '.join(_ROUTES)}.")
 @click.option("--repeats", type=int, default=5)
 @click.option("--a", type=COMPLEX, default="1")
 @click.option("--b", type=COMPLEX, default="1")
@@ -424,12 +415,12 @@ def bench_cmd(n_list, r_list, route_list, repeats, a, b, fmt, out):
     for order in orders:
         spec = _make_spec(order, a, b)
         for exponent in exponents:
-            results = {route: _computed(route, spec, exponent) for route in routes}
-            reference = results["oracle"] if "oracle" in results else _computed("oracle", spec, exponent)
+            results = {route: _flat(_computed(route, spec, exponent)) for route in routes}
+            reference = results["oracle"] if "oracle" in results else _flat(_computed("oracle", spec, exponent))
             for route in routes:
                 deviation = compare(results[route], reference, 1e-8).max_rel_deviation
                 rows.append((f"{order},{exponent},{route}", deviation))
-                calls.append(functools.partial(_ROUTES[route], spec, exponent))
+                calls.append(functools.partial(_ROUTES[route][0], spec, exponent))
     lines = ["n,r,route,median_ns,max_rel_vs_oracle"]
     for (row, deviation), timings in zip(rows, _interleaved_ns(calls, repeats)):
         lines.append(f"{row},{int(statistics.median(timings))},{deviation:.3e}")

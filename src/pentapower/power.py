@@ -259,10 +259,9 @@ def power_lanes(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
     return _lanes(spec.n, lambda m: np.eye(m, dtype=complex).__getitem__ if r == 0 else _walk_lane(m, spec, r))
 
 
-def power_via_spectral(req: PowerRequest) -> np.ndarray:
-    """Reference route: each lane from the node sum of its spectral decomposition."""
-    spec = req.spec
+def power_via_spectral(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
+    """Reference route: power_lanes' lanes, each from the node sum of its spectral decomposition."""
     if req.r == 0:
-        return np.eye(spec.n, dtype=complex)
-    derived = DerivedScalars.from_spec(spec, branch_flip=req.branch_flip)
-    return _by_lanes(spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__)
+        return power_lanes(req)  # the identity's lanes
+    derived = DerivedScalars.from_spec(req.spec, branch_flip=req.branch_flip)
+    return _lanes(req.spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__)

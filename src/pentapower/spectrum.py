@@ -160,7 +160,7 @@ def _by_lanes(n: int, lane) -> np.ndarray:
     allocated and any block filled, so a refusal leaves nothing to undo. Where a lane spans
     more than two blocks, the blocks, their rows divided by the thread count, are shared
     between min(usable CPUs, its blocks) threads, the calling one included, each under a copy
-    of the caller's context (where numpy >= 2 keeps np.errstate); rows(s) must then be safe
+    of the caller's context, which keeps np.errstate; rows(s) must then be safe
     to call while another block is being filled. All threads are joined before the first
     exception raised in any of them reaches the caller.
     """
@@ -196,6 +196,11 @@ def _lanes(n: int, lane) -> tuple[np.ndarray, np.ndarray]:
     plans = {m: lane(m) for m in dict.fromkeys(_lane_size(n, idx) for idx in (0, 1))}
     filled = {m: rows(slice(0, m)) for m, rows in plans.items()}
     return filled[_lane_size(n, 0)], filled[_lane_size(n, 1)]
+
+
+def _lane_copies(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous copies of an n x n matrix's lanes 0 and 1, the entries that _by_lanes writes."""
+    return np.ascontiguousarray(matrix[0::2, 0::2]), np.ascontiguousarray(matrix[1::2, 1::2])
 
 
 def _eigenvalues(spec: MatrixSpec, branch_flip: bool = False) -> np.ndarray:

@@ -17,6 +17,7 @@ from pentapower import (
     determinant_corollary_check,
     naive_power,
     power_matrix,
+    power_via_spectral,
     transform,
 )
 from pentapower.cli import cli
@@ -200,14 +201,21 @@ def test_criterion_6_determinant_identity_grid():
             f"worst_rel={worst:.2e}")
 
 
+def _spectral_cells(spec, r, branch_flip):
+    """Every cell of the spectral route's lanes; all others are an exact 0."""
+    lanes = power_via_spectral(PowerRequest(spec=spec, r=r, branch_flip=branch_flip))
+    return np.concatenate([lane.ravel() for lane in lanes])
+
+
 def test_criterion_7_branch_invariance():
+    # the spectral route reads the flag through sqrt(ab) and sqrt(b/a); the closed form takes no root
     worst = 0.0
     for n in range(3, 9):
         for a, b in band_pairs():
             spec = MatrixSpec(n=n, a=a, b=b)
             for r in range(1, 7):
-                plain = power_matrix(PowerRequest(spec=spec, r=r))
-                flipped = power_matrix(PowerRequest(spec=spec, r=r, branch_flip=True))
+                plain = _spectral_cells(spec, r, False)
+                flipped = _spectral_cells(spec, r, True)
                 scale = max(1.0, float(np.max(np.abs(plain))))
                 worst = max(worst, float(np.max(np.abs(plain - flipped))) / scale)
     _report(7, "flipped square-root branch leaves powers unchanged", worst <= 1e-10,

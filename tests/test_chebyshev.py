@@ -88,6 +88,13 @@ def test_rejects_negative_order():
         chebyshev_u_sequence(-2, 0.5)
 
 
+def test_order_must_be_an_integer():
+    # int(2.5) silently gave order 2
+    with pytest.raises(TypeError):
+        chebyshev_u_sequence(2.5, 0.5)
+    assert chebyshev_u_sequence(np.int64(3), 0.5) == chebyshev_u_sequence(3, 0.5)
+
+
 def test_rejects_non_finite_argument():
     with pytest.raises(ValueError, match=r"^argument must be finite, got \(nan\+0j\)$"):
         chebyshev_u_sequence(3, float("nan"))[-1]

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentapower import MatrixSpec, PowerRequest, power_matrix, transform
+from pentapower import MatrixSpec, PowerRequest, compare, naive_power, power_matrix, transform
 from pentapower import cli as cli_module
 from pentapower import oracle as oracle_module
 from pentapower import power as power_module
@@ -25,6 +25,18 @@ from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@functools.cache
+def _peak_kib(*args):
+    """The peak RSS of ``python *args``, read by a small launcher so that pytest's is not inherited; cached, so
+    that the import's is read once."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command = [sys.executable, str(Path(__file__).with_name("peak_rss.py")), sys.executable, *args]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
 
 
 def _rows_to_array(document):
@@ -204,7 +216,7 @@ class TestPowerCommand:
     def test_json_refuses_nan(self):
         spec = MatrixSpec(n=3, a=1, b=1)
         with pytest.raises(ValueError):
-            _matrix_json(np.full((3, 3), np.nan, dtype=complex), spec, 1, "closed_form", 0)
+            _matrix_json((np.full((3, 3), np.nan, dtype=complex),), spec, 1, "closed_form", 0)
 
     @pytest.mark.parametrize("route", ["spectral", "oracle"])
     def test_reference_routes_refuse_non_finite(self, runner, route):
@@ -263,7 +275,7 @@ class TestPowerCommand:
         # a cgroup v2 limit one byte below the counted working set refuses the order; the count itself admits it
         limit = tmp_path / "memory.max"
         monkeypatch.setattr(cli_module, "_CGROUP_MEMORY_MAX", str(limit))
-        needed = cli_module._POWER_CELL_BYTES * 8**2
+        needed = cli_module._ROUTES[route][1] * 8**2
         args = ["power", "--n", "8", "--r", "3", "--route", route, "--format", fmt]
         limit.write_text(f"{needed - 1}\n")
         refused = runner.invoke(cli, args)
@@ -285,22 +297,14 @@ class TestPowerCommand:
         assert result.exit_code == 3
         assert f"more than {physical} in memory" in result.stderr
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_peak_rss_stays_within_the_counted_working_set(self, tmp_path, fmt):
-        # the CLI's own high-water mark, read by a small launcher so that pytest's is not inherited
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-
-        def peak_kib(*args):
-            command = [sys.executable, str(Path(__file__).with_name("peak_rss.py")), sys.executable, *args]
-            done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            return int(done.stdout)
-
-        imported = peak_kib("-c", "import pentapower.cli")
-        args = ["power", "--n", "512", "--r", "1000000", "--a", "0.5", "--b", "0.5i", "--format", fmt]
-        powered = peak_kib("-m", "pentapower.cli", *args, "--out", str(tmp_path / "power"))
-        assert powered <= imported + cli_module._POWER_CELL_BYTES * 512**2 // 1024
+    @pytest.mark.parametrize("route", ["closed_form", "spectral", "oracle"])
+    @pytest.mark.parametrize("n", [511, 512])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_peak_rss_stays_within_the_counted_working_set(self, tmp_path, fmt, n, route):
+        # each route's own count; n = 511 holds every route's worst bytes per cell
+        args = ["power", "--n", str(n), "--r", "1000000", "--a", "0.5", "--b", "0.5i", "--route", route, "--format", fmt]
+        powered = _peak_kib("-m", "pentapower.cli", *args, "--out", str(tmp_path / "power"))
+        assert powered <= _peak_kib("-c", "import pentapower.cli") + cli_module._ROUTES[route][1] * n**2 // 1024
 
     @pytest.mark.parametrize(
         "args",
@@ -447,9 +451,8 @@ class TestVerifyCommand:
 
     def test_zero_candidate_fails_a_small_reference(self, runner, monkeypatch):
         # every entry of this reference is below 1e-8, so only a floored scale would pass zeros
-        monkeypatch.setitem(
-            cli_module._ROUTES, "closed_form", lambda spec, r: np.zeros((spec.n, spec.n), dtype=complex)
-        )
+        zeros = lambda spec, r: spectrum_module._lane_copies(np.zeros((spec.n, spec.n), dtype=complex))
+        monkeypatch.setitem(cli_module._ROUTES, "closed_form", (zeros, cli_module._ROUTES["closed_form"][1]))
         result = runner.invoke(cli, ["verify", "--n", "8", "--r", "20", "--a", "0.1", "--b", "0.1"])
         assert result.exit_code == 1
         assert result.output.startswith("FAIL")
@@ -468,11 +471,30 @@ class TestVerifyCommand:
         assert "A**1000 by the oracle route went beyond the double range" in result.stderr
 
     def test_non_finite_oracle_is_refused_not_passed(self, runner, monkeypatch):
-        nan_power = lambda spec, r: np.full((spec.n, spec.n), np.nan, dtype=complex)
-        monkeypatch.setitem(cli_module._ROUTES, "oracle", nan_power)
+        nan_power = lambda spec, r: spectrum_module._lane_copies(np.full((spec.n, spec.n), np.nan, dtype=complex))
+        monkeypatch.setitem(cli_module._ROUTES, "oracle", (nan_power, cli_module._ROUTES["oracle"][1]))
         result = runner.invoke(cli, ["verify", "--n", "6", "--r", "6"])
         assert result.exit_code == 3
         assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("n", [5, 6, 64, 65])
+    def test_lanes_give_the_verdict_of_the_matrices(self, runner, n):
+        # every cell off the lanes is an exact 0 on both sides: the n x n comparison has the same verdict and max_rel
+        verdicts = set()
+        for a, b in oracle_module.band_pairs(20240811, 3):
+            spec = MatrixSpec(n=n, a=a, b=b)
+            for r in (1, 7, 30):
+                lanes = [cli_module._flat(cli_module._computed(route, spec, r)) for route in ("closed_form", "oracle")]
+                for rel_tol in (1e-8, 1e-15):
+                    matrices = compare(power_matrix(PowerRequest(spec=spec, r=r)), naive_power(spec, r), rel_tol)
+                    report = compare(*lanes, rel_tol)
+                    assert (report.passed, report.max_rel_deviation) == (matrices.passed, matrices.max_rel_deviation)
+                    verdicts.add(matrices.passed)
+                    args = ["--n", str(n), "--r", str(r), "--a", format_complex(a), "--b", format_complex(b)]
+                    printed = runner.invoke(cli, ["verify", *args, "--rel-tol", str(rel_tol)]).output.splitlines()[0]
+                    assert printed.startswith("PASS" if matrices.passed else "FAIL")
+                    assert printed.endswith(f"max_rel={matrices.max_rel_deviation:.3e}")
+        assert verdicts == {True, False}
 
     def test_zero_exponent_exits_three(self, runner):
         result = runner.invoke(cli, ["verify", "--n", "6", "--r", "0"])
@@ -681,19 +703,19 @@ class TestBlockWriter:
         n = matrix.shape[0]
         if fmt == "json":
             spec = MatrixSpec(n=n, a=0.5, b=-0.0 + 2j)
-            written = "".join(cli_module._matrix_json(matrix, spec, 7, "oracle", 42))
+            written = "".join(cli_module._matrix_json((matrix,), spec, 7, "oracle", 42))
             pairs = [[{"re": v.real + 0.0, "im": v.imag + 0.0} for v in row] for row in matrix.tolist()]
             expected = json.dumps(
                 {"schema_version": "1", "n": n, "r": 7, "a": {"re": 0.5, "im": 0.0}, "b": {"re": 0.0, "im": 2.0},
                  "rows": pairs, "meta": {"route": "oracle", "elapsed_ns": 42}}
             )
         elif fmt == "csv":
-            written = "".join(cli_module._matrix_csv(matrix))
+            written = "".join(cli_module._matrix_csv((matrix,)))
             header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
             parts = np.ravel(matrix).view(np.float64)
             expected = f"{header}\n{_per_cell(parts, cli_module._format_float, 2 * n, ',', chr(10))}"
         else:
-            written = "".join(cli_module._matrix_pretty(matrix))
+            written = "".join(cli_module._matrix_pretty((matrix,)))
             width = max(len(format_complex(v)) for v in matrix.ravel().tolist())
             expected = _per_cell(np.ravel(matrix), lambda v: format_complex(v).rjust(width), n, "  ", "\n")
         _assert_same_text(written, expected)
@@ -727,7 +749,7 @@ class TestBlockWriter:
         write = {"json": lambda m: cli_module._matrix_json(m, spec, 1, "oracle", 0),
                  "csv": cli_module._matrix_csv, "pretty": cli_module._matrix_pretty}[fmt]
         matrix = np.arange(-4, 5).reshape(3, 3)
-        assert "".join(write(matrix.astype(dtype))) == "".join(write(matrix.astype(complex)))
+        assert "".join(write((matrix.astype(dtype),))) == "".join(write((matrix.astype(complex),)))
 
     def test_a_colliding_key_formats_a_value_twice_but_never_wrongly(self, monkeypatch):
         _colliding_keys(monkeypatch)
@@ -754,8 +776,17 @@ def _per_cell_document(matrix, fmt, a, b, r):
     return _per_cell(np.ravel(matrix), cell, n, "  ", "\n")
 
 
+@pytest.fixture()
+def no_assembly(monkeypatch):
+    def assembled(n, lane):
+        raise AssertionError(f"an order-{n} matrix was assembled")
+
+    monkeypatch.setattr(spectrum_module, "_by_lanes", assembled)
+    monkeypatch.setattr(power_module, "_by_lanes", assembled)
+
+
 class TestLaneWriter:
-    """``power``'s closed form hands the writer its two lanes; the bytes are those of its n x n matrix."""
+    """Every route hands the writer its power's two lanes; the bytes are those of its n x n matrix."""
 
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 300])
     @pytest.mark.parametrize("a,b", [("2", "1+1i"), ("0.5", "0.5i")])
@@ -777,12 +808,7 @@ class TestLaneWriter:
         assert (first is second) == (n % 2 == 0)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
-    def test_closed_form_builds_no_n_by_n_matrix(self, runner, monkeypatch, fmt):
-        def assembled(n, lane):
-            raise AssertionError(f"an order-{n} matrix was assembled")
-
-        monkeypatch.setattr(spectrum_module, "_by_lanes", assembled)
-        monkeypatch.setattr(power_module, "_by_lanes", assembled)
+    def test_closed_form_builds_no_n_by_n_matrix(self, runner, no_assembly, fmt):
         args = ["power", "--route", "closed_form", "--format", fmt]
         for n in ("8", "9"):
             assert runner.invoke(cli, [*args, "--n", n, "--r", "7", "--a", "2", "--b", "1+1i"]).exit_code == 0
@@ -793,3 +819,9 @@ class TestLaneWriter:
             assert result.exit_code == 3
             assert result.stdout == ""
             assert reason in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_spectral_route_builds_no_n_by_n_matrix(self, runner, no_assembly, fmt):
+        for n, r in (("8", "0"), ("8", "7"), ("9", "7")):
+            args = ["power", "--route", "spectral", "--format", fmt, "--n", n, "--r", r, "--a", "2", "--b", "1+1i"]
+            assert runner.invoke(cli, args).exit_code == 0

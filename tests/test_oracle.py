@@ -288,6 +288,18 @@ class TestCompare:
             assert not compare(np.zeros((8, 8)), reference, 1e-8).passed
             assert not compare(reference, reference, 1e-8).passed
 
+    def test_deviation_at_the_bound_passes_and_one_float_above_fails(self):
+        # scale 4 and rel_tol 0.25 bound the deviation by exactly 1.0
+        reference = np.array([[4.0, 0.0]])
+        assert compare(np.array([[4.0, 1.0]]), reference, 0.25).passed
+        assert not compare(np.array([[4.0, np.nextafter(1.0, 2.0)]]), reference, 0.25).passed
+
+    def test_non_finite_scale_fails(self):
+        # inf <= rel_tol * inf holds, so only the scale's own check refuses this
+        report = compare(np.array([[1e300]]), np.array([[np.inf]]), 1e-8)
+        assert report.max_abs_deviation == np.inf
+        assert not report.passed
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             compare(np.eye(3), np.eye(4), 1e-9)

@@ -20,7 +20,7 @@ from pentapower import (
 from pentapower import power as power_module
 from pentapower.oracle import band_pairs
 from pentapower.power import _MODES_FROM, power_lanes
-from pentapower.spectrum import _even_nodes, _index_nodes as _odd_nodes, _lane_size, transform
+from pentapower.spectrum import _by_lanes, _even_nodes, _index_nodes as _odd_nodes, _lane_size, transform
 
 
 # |a| = |b|: the node sum resolves large orders
@@ -29,6 +29,12 @@ EQUAL_MODULI = (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j))
 
 def _request(n, a, b, r, flip=False):
     return PowerRequest(spec=MatrixSpec(n=n, a=a, b=b), r=r, branch_flip=flip)
+
+
+def _spectral_matrix(req):
+    """The n x n matrix of power_via_spectral's lanes."""
+    lanes = {lane.shape[0]: lane for lane in power_via_spectral(req)}
+    return _by_lanes(req.spec.n, lambda m: lanes[m].__getitem__)
 
 
 class TestEntryFormulas:
@@ -306,22 +312,31 @@ class TestPowerLanes:
 
 
 class TestSpectralRoute:
+    @pytest.mark.parametrize("r", [0, 5])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_lanes_are_laid_out_as_the_closed_forms(self, n, r):
+        spectral, closed = power_via_spectral(_request(n, 2, 3, r)), power_lanes(_request(n, 2, 3, r))
+        assert [lane.shape for lane in spectral] == [lane.shape for lane in closed]
+        assert (spectral[0] is spectral[1]) == (n % 2 == 0)
+        for ours, theirs in zip(spectral, closed):
+            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
     def test_r_zero_is_identity(self):
-        result = power_via_spectral(_request(5, 2, 3, 0))
+        result = _spectral_matrix(_request(5, 2, 3, 0))
         assert np.array_equal(result, np.eye(5, dtype=complex))
 
     def test_unit_band_square_is_identity(self):
-        result = power_via_spectral(_request(4, 1, 1, 2))
+        result = _spectral_matrix(_request(4, 1, 1, 2))
         assert_allclose(result, np.eye(4), atol=1e-12)
 
     def test_odd_symbolic_instance(self):
         # order-5 entry (1,3) of the 5th power is 4 a^3 b^2
-        result = power_via_spectral(_request(5, 2, 3, 5))
+        result = _spectral_matrix(_request(5, 2, 3, 5))
         assert result[0, 2] == pytest.approx(288, rel=1e-12)
         assert_allclose(result, naive_power(MatrixSpec(n=5, a=2, b=3), 5), atol=1e-9)
 
     def test_printed_seven_by_seven(self):
-        result = power_via_spectral(_request(7, 3, 2, 5))
+        result = _spectral_matrix(_request(7, 3, 2, 5))
         assert_allclose(result, naive_power(MatrixSpec(n=7, a=3, b=2), 5), atol=1e-9)
 
     def test_agrees_with_closed_form(self):
@@ -330,7 +345,7 @@ class TestSpectralRoute:
                 spec = MatrixSpec(n=n, a=a, b=b)
                 for r in (1, 5, 10):
                     closed = power_matrix(PowerRequest(spec=spec, r=r))
-                    spectral = power_via_spectral(PowerRequest(spec=spec, r=r))
+                    spectral = _spectral_matrix(PowerRequest(spec=spec, r=r))
                     scale = max(1.0, np.max(np.abs(closed)))
                     assert np.max(np.abs(closed - spectral)) <= 1e-8 * scale
 
@@ -340,8 +355,8 @@ class TestSpectralRoute:
             for a, b in band_pairs():
                 for r in range(1, 11):
                     closed = power_matrix(_request(n, a, b, r))
-                    plain = power_via_spectral(_request(n, a, b, r))
-                    flipped = power_via_spectral(_request(n, a, b, r, flip=True))
+                    plain = _spectral_matrix(_request(n, a, b, r))
+                    flipped = _spectral_matrix(_request(n, a, b, r, flip=True))
                     assert np.max(np.abs(plain - flipped)) <= 1e-10 * np.max(np.abs(closed))
 
     def test_entries_read_the_same_lane_sum(self):
@@ -349,7 +364,7 @@ class TestSpectralRoute:
             for a, b in band_pairs(count=2):
                 spec = MatrixSpec(n=n, a=a, b=b)
                 for r in (1, 4, 7):
-                    spectral = power_via_spectral(PowerRequest(spec=spec, r=r))
+                    spectral = _spectral_matrix(PowerRequest(spec=spec, r=r))
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
                             assert power_entry(spec, r, i, j) == spectral[i - 1, j - 1]
@@ -359,7 +374,7 @@ class TestSpectralRoute:
         for n in (6, 7, 9):
             for a, b in band_pairs(count=2):
                 for r in (1, 2, 3, 4):
-                    result = power_via_spectral(_request(n, a, b, r))
+                    result = _spectral_matrix(_request(n, a, b, r))
                     i, j = np.indices((n, n))
                     assert np.all(result[((i + j) % 2 == 1) | ((i // 2 + j // 2 + r) % 2 == 1)] == 0)
 
@@ -368,13 +383,13 @@ class TestSpectralRoute:
     def test_bands_whose_product_leaves_the_double_range(self, n, band):
         # a*b is inf or 0 as a double; sqrt(ab) comes from sqrt(a) * sqrt(b) instead
         closed = power_matrix(_request(n, band, band, 1))
-        spectral = power_via_spectral(_request(n, band, band, 1))
+        spectral = _spectral_matrix(_request(n, band, band, 1))
         assert np.max(np.abs(spectral - closed)) <= 1e-12 * np.max(np.abs(closed))
 
     @pytest.mark.parametrize("n", [600, 601, 1023, 1024])
     def test_agrees_with_closed_form_across_lane_blocks(self, n):
         closed = power_matrix(_request(n, *EQUAL_MODULI, 301))
-        spectral = power_via_spectral(_request(n, *EQUAL_MODULI, 301))
+        spectral = _spectral_matrix(_request(n, *EQUAL_MODULI, 301))
         assert np.max(np.abs(closed - spectral)) <= 1e-11 * np.max(np.abs(closed))
 
     def test_unresolvable_sum_is_refused(self):
@@ -421,7 +436,7 @@ class TestRefereesAcrossTheDoubleRange:
     def test_referees_return_finite_values_or_refuse(self, n, r, a, b):
         spec = MatrixSpec(n=n, a=a, b=b)
         calls = [
-            lambda: [power_via_spectral(PowerRequest(spec=spec, r=r))],
+            lambda: list(power_via_spectral(PowerRequest(spec=spec, r=r))),
             lambda: [power_entry(spec, r, 1, 3)],
             lambda: (lambda d: [d.eigenvalues, d.transform, d.inverse_transform])(transform(spec)),
         ]

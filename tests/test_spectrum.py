@@ -335,7 +335,9 @@ class TestLaneAssembly:
         calls = []
         for a, b in [(0.5, 0.5j), (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j)), (1, 0.25)]:
             spec = MatrixSpec(n=n, a=a, b=b)
-            routes = [power_matrix, power_via_spectral] if n <= 1025 else [power_matrix]
+            # the spectral route's lanes, one after the other
+            spectral = lambda req: np.concatenate([lane.ravel() for lane in power_via_spectral(req)])
+            routes = [power_matrix, spectral] if n <= 1025 else [power_matrix]
             calls += [lambda f=f, spec=spec, r=r: f(PowerRequest(spec=spec, r=r)) for f in routes for r in (1, 2, 10, 10**6)]
             if n <= 1025:
                 calls.append(lambda spec=spec: (lambda d: np.stack((d.transform, d.inverse_transform)))(transform(spec)))
