@@ -2,10 +2,10 @@
 
 Subcommands: power, eig, verify, det, bench. JSON is the default output
 format where a document makes sense; csv and pretty are available too.
-Each distinct value is formatted once, and documents are written a chunk of
-rows at a time, so no string holds a whole matrix. Every route returns the
-power's two lanes, and power, verify and bench read those alone: no n x n
-array reaches a writer or a comparison.
+Each distinct modulus of a part is formatted once and signed per cell, and
+documents are written a chunk of rows at a time, so no string holds a whole
+matrix. Every route returns the power's two lanes; power, verify and bench
+read those alone, and no n x n array reaches a writer or a comparison.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error (valid flags, but bad matrix parameters, an order beyond memory, a
 power, eigenvalue or determinant beyond doubles, or an unresolvable sum).
@@ -54,15 +54,20 @@ def _format_float(value: float) -> str:
     return np.format_float_positional(value + 0.0, trim="-")
 
 
+_json_float = repr  # the text json.dumps gives a float
+# Each style's text of a cell from its parts' signs, "" or "-", and the texts of their moduli
+_CELLS = {
+    "json": lambda re_sign, im_sign, re_text, im_text: f'{{"re": {re_sign}{re_text}, "im": {im_sign}{im_text}}}',
+    "csv": lambda re_sign, im_sign, re_text, im_text: f"{re_sign}{re_text},{im_sign}{im_text}",
+    "pretty": lambda re_sign, im_sign, re_text, im_text: re_sign + re_text if im_text == "0" else (
+        f"{im_sign}{im_text}i" if re_text == "0" else f"{re_sign}{re_text}{im_sign or '+'}{im_text}i"
+    ),
+}
+
+
 def format_complex(value: complex) -> str:
-    re_part = value.real + 0.0
-    im_part = value.imag + 0.0
-    if im_part == 0.0:
-        return _format_float(re_part)
-    if re_part == 0.0:
-        return f"{_format_float(im_part)}i"
-    sign = "+" if im_part >= 0 else "-"
-    return f"{_format_float(re_part)}{sign}{_format_float(abs(im_part))}i"
+    parts = (value.real, value.imag)
+    return _CELLS["pretty"](*["-" if part < 0 else "" for part in parts], *[_format_float(abs(part)) for part in parts])
 
 
 class ComplexValue(click.ParamType):
@@ -117,41 +122,47 @@ def _sort_key(values: np.ndarray) -> np.ndarray:
     return bits if values.dtype == np.float64 else bits[0::2] * np.uint64(0x9E3779B97F4A7C15) ^ bits[1::2]
 
 
-def _text_table(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """``fmt`` of each distinct non-zero value of a flat array, after that of ``0``, and each cell's text index.
-
-    Zeros of either sign share text 0: every ``fmt`` here adds ``0.0``. Each run of equal neighbours in
-    ``_sort_key`` order gets one text; values sharing a key can split a run, never take another's text.
-    """
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-zero values of a flat array after 0, and each value's index into them (0 for a zero). A run of
+    equal neighbours in ``_sort_key`` order is one value: a key shared by distinct values can split a run, never mix."""
     index = np.zeros(values.size, dtype=np.int32 if values.size < 2**31 else np.intp)
     nonzero = np.flatnonzero(values).astype(index.dtype)  # int32: the sort's temporaries stay resident once freed
     nonzero = nonzero[np.argsort(_sort_key(values[nonzero]))]
     picked = values[nonzero]
-    first = np.ones(picked.size, dtype=bool)
-    np.not_equal(picked[1:], picked[:-1], out=first[1:])
+    first = np.r_[True, picked[1:] != picked[:-1]][: picked.size]
     index[nonzero] = np.cumsum(first, dtype=index.dtype)
-    picked, nonzero = picked[first], None  # frees the sort's arrays before the texts are made
-    return np.array([fmt(v) for v in [values.dtype.type().item(), *picked.tolist()]], dtype=object), index
+    return np.concatenate([np.zeros(1, values.dtype), picked[first]]), index
 
 
-def _csv_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_text_table`` with ``re,im`` texts: each distinct value's parts, each distinct part formatted once."""
-    distinct, index = _text_table(values, complex)  # the distinct values themselves, then as an array
-    distinct = distinct.astype(complex)
-    parts, at = _text_table(distinct.view(np.float64), _format_float)
-    distinct = None  # freed before the pairs are made
-    pairs = zip(parts[at[0::2]].tolist(), parts[at[1::2]].tolist())
-    return np.array([f"{re},{im}" for re, im in pairs], dtype=object), index
-
-
-def _lane_table(lanes: tuple, table) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``table`` over the distinct arrays of ``lanes`` at once: the texts, and each lane's index. A route's lanes are
-    its power's lanes 0 and 1; any other matrix is the one lane of itself."""
-    distinct = list({id(lane): lane for lane in lanes}.values())
-    flat = [np.ravel(np.asarray(lane, dtype=complex)) for lane in distinct]  # the bits _sort_key reads
-    texts, index = table(np.concatenate(flat) if flat[1:] else flat[0])
-    shaped = {id(lane): part.reshape(lane.shape) for lane, part in zip(distinct, np.split(index, [lanes[0].size]))}
-    return texts, [shaped[id(lane)] for lane in lanes]  # lanes that share an array share its index
+def _lane_table(lanes: list, style: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ``style`` text of each distinct value of ``lanes`` (a route's lanes 0 and 1, or one matrix), read as complex,
+    after that of 0, and each lane's text index; ``lanes`` is emptied once sorted. Shortest round-trip digits depend on
+    a magnitude alone, so each distinct modulus of a part is formatted once, and a cell's text is made from its parts'
+    signs and texts, 2**13 cells at a time: a text is made before the first that reads it and dropped after the last."""
+    shared, shapes = lanes[0] is lanes[-1], [lane.shape for lane in lanes]  # an even order's lanes are one array
+    flat = [np.ravel(np.asarray(lane, dtype=complex)) for lane in (lanes[:1] if shared else lanes)]  # _sort_key's bits
+    lanes.clear()
+    values, index = _distinct(flat := np.concatenate(flat) if flat[1:] else flat[0])  # an odd order's lanes go here
+    parts, flat = values.view(np.float64), None  # with the list emptied, the lanes or their concatenation go here
+    negative, values = parts < 0, None
+    moduli, at = _distinct(np.abs(parts, out=parts))  # in place: the values are read no more
+    positions, parts = np.arange(at.size, dtype=at.dtype), None
+    first, last = np.full(moduli.size, at.size, at.dtype), np.zeros(moduli.size, at.dtype)
+    np.minimum.at(first, at, positions)  # the first and the last part that reads each modulus
+    np.maximum.at(last, at, positions)
+    fmt, cell = _json_float if style == "json" else _format_float, _CELLS[style]
+    texts, cells = np.empty(moduli.size, dtype=object), np.empty(at.size // 2, dtype=object)
+    for start in range(0, at.size, 2**14):
+        read, here = at[start : start + 2**14], positions[start : start + 2**14]
+        new = read[first[read] == here]
+        texts[new] = [fmt(modulus) for modulus in moduli[new].tolist()]
+        signs = np.array(["", "-"], dtype=object)[negative[start : start + 2**14].view(np.int8)]
+        pairs = [*signs.reshape(-1, 2).T.tolist(), *texts[read].reshape(-1, 2).T.tolist()]
+        cells[start // 2 : start // 2 + 2**13] = list(map(cell, *pairs))
+        texts[read[last[read] == here]] = None
+    index = np.split(index, [np.prod(shapes[0])])[: 1 if shared else None]
+    index = [part.reshape(shape) for part, shape in zip(index, shapes)]
+    return cells, index * len(shapes) if shared else index  # lanes that share an array share its index
 
 
 def _chunks(texts: np.ndarray, lanes: list, sep: str, row_sep: str, head: str = "", tail: str = "") -> Iterator[str]:
@@ -171,41 +182,35 @@ def _chunks(texts: np.ndarray, lanes: list, sep: str, row_sep: str, head: str = 
     yield tail
 
 
-def _json_pair(value: complex) -> str:
-    # the text json.dumps gives _pair(value): floats are written with repr
-    return '{"re": %r, "im": %r}' % (value.real + 0.0, value.imag + 0.0)
-
-
-def _matrix_json(lanes: tuple, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
+def _matrix_json(lanes: list, spec: MatrixSpec, r: int, route: str, elapsed_ns: int) -> Iterator[str]:
     """The JSON document in chunks; the text table is built, and NaN refused, before this returns."""
     if not all(np.isfinite(lane).all() for lane in lanes):
         raise ValueError("Out of range float values are not JSON compliant")
-    head = json.dumps(
-        {"schema_version": "1", "n": spec.n, "r": r, "a": _pair(spec.a), "b": _pair(spec.b)},
-        allow_nan=False,
-    )
-    texts, lanes = _lane_table(lanes, functools.partial(_text_table, fmt=_json_pair))
+    head = {"schema_version": "1", "n": spec.n, "r": r, "a": _pair(spec.a), "b": _pair(spec.b)}
+    head = json.dumps(head, allow_nan=False)
+    texts, lanes = _lane_table(lanes, "json")
     meta = json.dumps({"route": route, "elapsed_ns": elapsed_ns})
     return _chunks(texts, lanes, ", ", "], [", f'{head[:-1]}, "rows": [[', f']], "meta": {meta}}}')
 
 
-def _matrix_csv(lanes: tuple) -> Iterator[str]:
-    texts, lanes = _lane_table(lanes, _csv_table)
+def _matrix_csv(lanes: list) -> Iterator[str]:
+    texts, lanes = _lane_table(lanes, "csv")
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, sum(lane.shape[1] for lane in lanes) + 1))
     return _chunks(texts, lanes, ",", "\n", header + "\n")
 
 
-def _matrix_pretty(lanes: tuple) -> Iterator[str]:
-    texts, lanes = _lane_table(lanes, functools.partial(_text_table, fmt=format_complex))
+def _matrix_pretty(lanes: list) -> Iterator[str]:
+    texts, lanes = _lane_table(lanes, "pretty")
     width = max(map(len, texts))
-    texts = np.array([text.rjust(width) for text in texts], dtype=object)
+    for start in range(0, len(texts), 2**15):  # in place: each padded chunk replaces its unpadded texts
+        texts[start : start + 2**15] = [text.rjust(width) for text in texts[start : start + 2**15].tolist()]
     return _chunks(texts, lanes, "  ", "\n")
 
 
 # Each route's r-th power as its lanes 0 and 1, and the bytes per cell that `power` by it counts: its peak RSS above
 # the import's over n**2 at r = 10**6, a = 0.5, b = 0.5i (Python 3.11, numpy 2.4, 2 vCPUs), the worst of json, csv
-# and pretty, at n = 511, 512, 1023, 1024, 2047, 2048: closed_form 73, 59, 48, 23, 48, 21; spectral 160, 125, 115,
-# 57, 107, 51; oracle 93, 79, 67, 46, 63, 44. Each count is a multiple of 8 about 10% above its route's worst.
+# and pretty, at n = 511, 512, 1023, 1024, 2047, 2048: closed_form 68, 53, 31, 18, 25, 13; spectral 153, 131, 64,
+# 36, 57, 29; oracle 84, 72, 54, 35, 40, 24. Each count is a multiple of 8 at least 10% above its route's worst.
 _ROUTES = {
     "closed_form": (lambda spec, r: power_lanes(PowerRequest(spec=spec, r=r)), 80),
     "spectral": (lambda spec, r: power_via_spectral(PowerRequest(spec=spec, r=r)), 176),
@@ -260,14 +265,12 @@ def power_cmd(n, r, a, b, route, fmt, out):
     spec = _make_spec(n, a, b)
     _require_memory(spec.n, _ROUTES[route][1])
     start = time.perf_counter_ns()
-    lanes = _computed(route, spec, r)
+    lanes = list(_computed(route, spec, r))  # the writer's table empties it: the lanes go before any text is made
     elapsed_ns = time.perf_counter_ns() - start
     if fmt == "json":
         chunks = _matrix_json(lanes, spec, r, route, elapsed_ns)
-    elif fmt == "csv":
-        chunks = _matrix_csv(lanes)
     else:
-        chunks = _matrix_pretty(lanes)
+        chunks = (_matrix_csv if fmt == "csv" else _matrix_pretty)(lanes)
     _emit(chunks, out)
 
 
@@ -287,12 +290,9 @@ def eig_cmd(n, a, b, fmt, out):
     if fmt == "json":
         parity = "even" if spec.is_even else "odd"
         head = json.dumps({"schema_version": "1", "n": spec.n, "a": _pair(spec.a), "b": _pair(spec.b), "parity": parity})
-        texts, lanes = _lane_table((values[None, :],), functools.partial(_text_table, fmt=_json_pair))
-        chunks = _chunks(texts, lanes, ", ", "", f'{head[:-1]}, "eigenvalues": [', "]}")
-    elif fmt == "csv":
-        chunks = _chunks(*_lane_table((values[:, None],), _csv_table), "", "\n", "re,im\n")
+        chunks = _chunks(*_lane_table([values[None, :]], fmt), ", ", "", f'{head[:-1]}, "eigenvalues": [', "]}")
     else:
-        chunks = _chunks(*_lane_table((values[:, None],), functools.partial(_text_table, fmt=format_complex)), "", "\n")
+        chunks = _chunks(*_lane_table([values[:, None]], fmt), "", "\n", "re,im\n" if fmt == "csv" else "")
     _emit(chunks, out)
 
 

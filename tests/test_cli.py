@@ -209,14 +209,14 @@ class TestPowerCommand:
         result = runner.invoke(cli, args)
         assert result.exit_code == 0
         parts = power_matrix(PowerRequest(spec=MatrixSpec(n=257, a=0.5, b=0.5j), r=300)).view(float)
-        distinct = np.unique(parts[parts != 0]).size
+        moduli = np.unique(np.abs(parts[parts != 0])).size  # 2,903 here, against 4,334 distinct parts
         assert len(result.output.splitlines()) == 258
-        assert 0 < len(calls) <= distinct + 1
+        assert 0 < len(calls) <= moduli + 1
 
     def test_json_refuses_nan(self):
         spec = MatrixSpec(n=3, a=1, b=1)
         with pytest.raises(ValueError):
-            _matrix_json((np.full((3, 3), np.nan, dtype=complex),), spec, 1, "closed_form", 0)
+            _matrix_json([np.full((3, 3), np.nan, dtype=complex)], spec, 1, "closed_form", 0)
 
     @pytest.mark.parametrize("route", ["spectral", "oracle"])
     def test_reference_routes_refuse_non_finite(self, runner, route):
@@ -370,13 +370,14 @@ class TestEigCommand:
 
     def test_json_formats_each_distinct_value_once(self, runner, monkeypatch):
         calls = []
-        original = cli_module._json_pair
-        monkeypatch.setattr(cli_module, "_json_pair", lambda v: calls.append(v) or original(v))
+        original = cli_module._json_float
+        monkeypatch.setattr(cli_module, "_json_float", lambda v: calls.append(v) or original(v))
         result = runner.invoke(cli, ["eig", "--n", "64"])
         assert result.exit_code == 0
         values = transform(MatrixSpec(n=64, a=1, b=1)).eigenvalues
         assert len(json.loads(result.output)["eigenvalues"]) == 64
-        assert len(calls) == np.unique(values[values != 0]).size + 1
+        # the 32 distinct values are 16 moduli of either sign
+        assert len(calls) == np.unique(np.abs(values[values != 0])).size + 1
 
     def test_values_pair_as_exact_negatives(self, runner):
         result = runner.invoke(cli, ["eig", "--n", "7"])
@@ -684,11 +685,25 @@ def _colliding_keys(monkeypatch):
     monkeypatch.setattr(cli_module, "_sort_key", lambda values: key(values) & np.uint64(7))
 
 
+def _signed_moduli():
+    """Each modulus with both signs, in either part and within one cell, where the digits are hardest to fold: the
+    subnormals' and normals' ends, the largest double, and the neighbours of 1e-4 and 1e16, where ``repr`` switches
+    between positional and exponent form; integral values lose their dot in csv and pretty."""
+    ends = [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, np.finfo(float).max, 1.0, 7.0, 2.0**53]
+    moduli = ends + [np.nextafter(edge, toward) for edge in (1e-4, 1e16) for toward in (0.0, edge, np.inf)]
+    cells = [complex(re, im) for m in moduli for re, im in
+             [(m, m), (-m, m), (m, -m), (-m, -m), (m, 0.0), (-m, -0.0), (-0.0, m), (0.0, -m), (-m, 1.0), (1.0, -m)]]
+    cells += [complex(-0.0, -0.0), complex(-1e-300, 1e300), complex(1e300, -1e-300)]
+    n = math.isqrt(len(cells) - 1) + 1
+    return np.array(cells + [0j] * (n * n - len(cells))).reshape(n, n)
+
+
 _WRITER_MATRICES = {
     "n3": lambda: _writer_values(9, 1).reshape(3, 3),
     # 200 rows of 200 cells: the chunks of whole rows (163, then 37; csv 81, 81, 38) leave a remainder
     "n200": lambda: _writer_values(200 * 200, 2).reshape(200, 200),
     "zeros": lambda: np.where(np.arange(36) % 3 == 0, complex(-0.0, -0.0), 0j).reshape(6, 6),
+    "signed_moduli": _signed_moduli,
 }
 
 
@@ -703,19 +718,19 @@ class TestBlockWriter:
         n = matrix.shape[0]
         if fmt == "json":
             spec = MatrixSpec(n=n, a=0.5, b=-0.0 + 2j)
-            written = "".join(cli_module._matrix_json((matrix,), spec, 7, "oracle", 42))
+            written = "".join(cli_module._matrix_json([matrix], spec, 7, "oracle", 42))
             pairs = [[{"re": v.real + 0.0, "im": v.imag + 0.0} for v in row] for row in matrix.tolist()]
             expected = json.dumps(
                 {"schema_version": "1", "n": n, "r": 7, "a": {"re": 0.5, "im": 0.0}, "b": {"re": 0.0, "im": 2.0},
                  "rows": pairs, "meta": {"route": "oracle", "elapsed_ns": 42}}
             )
         elif fmt == "csv":
-            written = "".join(cli_module._matrix_csv((matrix,)))
+            written = "".join(cli_module._matrix_csv([matrix]))
             header = ",".join(f"c{j}_re,c{j}_im" for j in range(1, n + 1))
             parts = np.ravel(matrix).view(np.float64)
             expected = f"{header}\n{_per_cell(parts, cli_module._format_float, 2 * n, ',', chr(10))}"
         else:
-            written = "".join(cli_module._matrix_pretty((matrix,)))
+            written = "".join(cli_module._matrix_pretty([matrix]))
             width = max(len(format_complex(v)) for v in matrix.ravel().tolist())
             expected = _per_cell(np.ravel(matrix), lambda v: format_complex(v).rjust(width), n, "  ", "\n")
         _assert_same_text(written, expected)
@@ -749,14 +764,15 @@ class TestBlockWriter:
         write = {"json": lambda m: cli_module._matrix_json(m, spec, 1, "oracle", 0),
                  "csv": cli_module._matrix_csv, "pretty": cli_module._matrix_pretty}[fmt]
         matrix = np.arange(-4, 5).reshape(3, 3)
-        assert "".join(write((matrix.astype(dtype),))) == "".join(write((matrix.astype(complex),)))
+        assert "".join(write([matrix.astype(dtype)])) == "".join(write([matrix.astype(complex)]))
 
     def test_a_colliding_key_formats_a_value_twice_but_never_wrongly(self, monkeypatch):
         _colliding_keys(monkeypatch)
         values = _writer_values(200 * 200, 2)
-        texts, index = cli_module._text_table(values, cli_module._json_pair)
+        texts, (index,) = cli_module._lane_table([values], "json")
         assert len(set(texts.tolist())) < len(texts)
-        _assert_same_text("\n".join(texts[index].tolist()), "\n".join(map(cli_module._json_pair, values.tolist())))
+        pairs = (json.dumps({"re": v.real + 0.0, "im": v.imag + 0.0}) for v in values.tolist())
+        _assert_same_text("\n".join(texts[index].tolist()), "\n".join(pairs))
 
 
 def _per_cell_document(matrix, fmt, a, b, r):
@@ -794,6 +810,15 @@ class TestLaneWriter:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 200, 201])
     def test_power_matches_per_cell_formatting_of_the_matrix(self, runner, n, fmt, a, b, r):
         # n = 3 has a one-cell lane; at 200 and 201 the chunks of whole rows leave a remainder
+        self._assert_per_cell(runner, n, fmt, a, b, r)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_dense_benchmark_case_matches_per_cell_formatting(self, runner, fmt):
+        # perfbench's cli_dense command: 70,769 distinct non-zero parts, 47,249 distinct moduli
+        self._assert_per_cell(runner, 1024, fmt, "0.5", "0.5i", 10**6)
+
+    @staticmethod
+    def _assert_per_cell(runner, n, fmt, a, b, r):
         args = ["power", "--n", str(n), "--r", str(r), "--a", a, "--b", b, "--format", fmt]
         result = runner.invoke(cli, args)
         assert result.exit_code == 0, result.stderr
@@ -804,7 +829,7 @@ class TestLaneWriter:
     @pytest.mark.parametrize("n", [8, 9])
     def test_an_even_orders_rows_share_one_index(self, n):
         lanes = power_module.power_lanes(PowerRequest(spec=MatrixSpec(n=n, a=2, b=1 + 1j), r=7))
-        _, (first, second) = cli_module._lane_table(lanes, cli_module._csv_table)
+        _, (first, second) = cli_module._lane_table(list(lanes), "csv")
         assert (first is second) == (n % 2 == 0)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])

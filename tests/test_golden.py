@@ -60,9 +60,9 @@ def _edge_outputs() -> dict[str, str]:
     matrix = _edge_matrix()
     spec = MatrixSpec(n=4, a=complex(-0.0, 1e-300), b=1e300)
     return {
-        "edge_json": "".join(_matrix_json((matrix,), spec, 3, "closed_form", 12345)),
-        "edge_csv": "".join(_matrix_csv((matrix,))),
-        "edge_pretty": "".join(_matrix_pretty((matrix,))),
+        "edge_json": "".join(_matrix_json([matrix], spec, 3, "closed_form", 12345)),
+        "edge_csv": "".join(_matrix_csv([matrix])),
+        "edge_pretty": "".join(_matrix_pretty([matrix])),
     }
 
 
