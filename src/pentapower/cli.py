@@ -210,7 +210,7 @@ def _matrix_pretty(lanes: list) -> Iterator[str]:
 # Each route's r-th power as its lanes 0 and 1, and the bytes per cell that `power` by it counts: its peak RSS above
 # the import's over n**2 at r = 10**6, a = 0.5, b = 0.5i (Python 3.11, numpy 2.4, 2 vCPUs), the worst of json, csv
 # and pretty, at n = 511, 512, 1023, 1024, 2047, 2048: closed_form 68, 53, 31, 18, 25, 13; spectral 153, 131, 64,
-# 36, 57, 29; oracle 84, 72, 54, 35, 40, 24. Each count is a multiple of 8 at least 10% above its route's worst.
+# 36, 57, 29; oracle 84, 72, 54, 35, 34, 24. Each count is a multiple of 8 at least 10% above its route's worst.
 _ROUTES = {
     "closed_form": (lambda spec, r: power_lanes(PowerRequest(spec=spec, r=r)), 80),
     "spectral": (lambda spec, r: power_via_spectral(PowerRequest(spec=spec, r=r)), 176),

@@ -2,8 +2,9 @@
 
 Deliberately simple: dense complex arrays; repeated squaring for powers and
 LU with partial pivoting for determinants, each kept to the input's non-zero
-blocks (equal ones multiplied once) or diagonals. Nothing in here knows about
-eigenvalues or closed forms, which makes these routines a fair referee for the fast paths.
+blocks (filled from A's band entries; equal ones multiplied once) or diagonals.
+Nothing in here knows about eigenvalues or closed forms, which makes these
+routines a fair referee for the fast paths.
 """
 
 from __future__ import annotations
@@ -51,13 +52,17 @@ def band_pairs(seed: int = 20240811, count: int = 5) -> list[tuple[complex, comp
     return [(complex(a), complex(b)) for a, b in draws[..., 0] * np.exp(1j * draws[..., 1])]
 
 
+def _entries(spec: MatrixSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's non-zero entries as 0-based rows, columns and values: a at (i, i + 2), b at (i + 2, i)."""
+    idx = np.arange(spec.n - 2)
+    return np.concatenate((idx, idx + 2)), np.concatenate((idx + 2, idx)), np.repeat([spec.a, spec.b], spec.n - 2)
+
+
 def build_dense(spec: MatrixSpec) -> np.ndarray:
     """Dense n x n matrix with a on the +2 band and b on the -2 band."""
-    n = spec.n
-    out = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 2)
-    out[idx, idx + 2] = spec.a
-    out[idx + 2, idx] = spec.b
+    out = np.zeros((spec.n, spec.n), dtype=complex)
+    rows, columns, values = _entries(spec)
+    out[rows, columns] = values
     return out
 
 
@@ -74,31 +79,36 @@ def mat_mul(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def naive_power(spec: MatrixSpec, r: int) -> np.ndarray:
     """A**r by repeated squaring on the blocks of index classes mod 4; r = 0 gives identity.
 
-    Padded with zeros to order 4q, q = ceil(n/4), where n % 4 != 0, the matrix is a grid of q x q
-    blocks [c, d] = rows c::4, columns d::4. Only blocks found non-zero are multiplied, by mat_mul:
-    an all-zero block adds only exact zeros to a finite product; blocks found equal are held as one
-    array, whose products are made once. A power of A has one block per block row, so a product of
-    two costs four (n/4)**3 block products, not one n**3: two for even n, whose lanes are equal.
+    Block [c, d] is the q x q matrix of rows c::4 and columns d::4, q = ceil(n/4), zero past order n.
+    The blocks that hold A's band entries are filled from them, and only they are multiplied, by mat_mul,
+    in row-major [c, d] order; blocks found equal are held as one array, whose products are made once.
+    A power of A has one block per block row, so a product of two costs four (n/4)**3 block products,
+    not one n**3: two for even n, whose lanes are equal. The power's blocks are written into a zero result.
     """
     r = operator.index(r)
     if r < 0:
         raise ValueError(f"exponent must be >= 0, got {r}")
     if r == 0:
         return np.eye(spec.n, dtype=complex)
-    dense = np.pad(build_dense(spec), (0, -spec.n % 4)) if spec.n % 4 else build_dense(spec)
+    # made before the block products: made after them, it lands on the heap's top, which glibc trims once the
+    # caller frees it, so the next call faults its pages in again (verify_grid: about 70,000 faults per pass)
+    out = np.zeros((spec.n, spec.n), dtype=complex)
+    rows, columns, values = _entries(spec)
+    classes, q = rows % 4 * 4 + columns % 4, -(-spec.n // 4)
     base = {}
-    for c, d in np.ndindex(4, 4):
-        if (block := dense[c::4, d::4]).any():  # held contiguous, so @ does not copy it on every multiply
-            block = np.ascontiguousarray(block)
-            base[c, d] = next((held for held in base.values() if np.array_equal(held, block)), block)
+    for key in np.flatnonzero(np.bincount(classes)).tolist():  # row-major [c, d]; np.unique imports numpy.ma
+        mine = classes == key
+        block = np.zeros((q, q), dtype=complex)  # contiguous, so @ does not copy it on every multiply
+        block[rows[mine] // 4, columns[mine] // 4] = values[mine]
+        base[divmod(key, 4)] = next((held for held in base.values() if np.array_equal(held, block)), block)
     result = base
     for bit in bin(r)[3:]:  # the bits of r after the leading 1, high to low
         result = _block_product(result, result)
         if bit == "1":
             result = _block_product(result, base)
-    for c, d in base.keys() | result.keys():  # dense is zero outside base's blocks, no longer read
-        dense[c::4, d::4] = result.get((c, d), 0)
-    return np.ascontiguousarray(dense[: spec.n, : spec.n])
+    for (c, d), block in result.items():  # block rows and columns past order n are dropped
+        out[c::4, d::4] = block[: (spec.n - c + 3) // 4, : (spec.n - d + 3) // 4]
+    return out
 
 
 def _block_product(lhs: dict, rhs: dict) -> dict:

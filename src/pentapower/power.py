@@ -50,7 +50,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chebyshev import ipow
 from .chebyshev import chebyshev_u_sequence  # noqa: F401  unused here; the benchmark's traced run looks it up on this module
@@ -190,10 +189,13 @@ def _walk_lane(m: int, spec: MatrixSpec, r: int):
     if max(half, rest) >= 1000:
         raise OverflowError(f"the entries of A**{r} span more than the double range")
     weights *= math.ldexp(1.0, rest)
-    # lane[p, q] = (C[|q-p|] - C[p+q+2]) * w[q-p], from strided views of the 1-D arrays
-    toeplitz = sliding_window_view(weights, m)[::-1]
-    hankel = sliding_window_view(np.ldexp(counts[2 : 2 * m + 1], half), m)
-    leading = sliding_window_view(np.ldexp(along, half) * weights, m)[::-1]
+    # lane[p, q] = (C[|q-p|] - C[p+q+2]) * w[q-p], from read-only m x m views whose row p is line[p:] or line[m-1-p:]
+    def window(line: np.ndarray, step: int) -> np.ndarray:
+        size = line.itemsize
+        return np.ndarray((m, m), line.dtype, memoryview(line).toreadonly(), (m - 1) * size * (step < 0), (step * size, size))
+    toeplitz = window(weights, -1)
+    hankel = window(np.ldexp(counts[2 : 2 * m + 1], half), 1)
+    leading = window(np.ldexp(along, half) * weights, -1)
     def rows(s: slice) -> np.ndarray:
         block = np.multiply(hankel[s], toeplitz[s])
         return np.subtract(leading[s], block, out=block)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import assert_same_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -660,13 +661,6 @@ def _per_cell(values, fmt, width, sep, row_sep):
     return row_sep.join(sep.join(cells[i : i + width]) for i in range(0, len(cells), width))
 
 
-def _assert_same_text(written, expected):
-    # pytest's own diff of two megabyte strings takes minutes: report the first difference only
-    if written != expected:
-        at = next((i for i, pair in enumerate(zip(written, expected)) if pair[0] != pair[1]), len(expected))
-        pytest.fail(f"differs at {at}: {written[at - 30 : at + 30]!r} != {expected[at - 30 : at + 30]!r}")
-
-
 def _writer_values(size, seed):
     """Seeded values: repeats, zeros and parts of either sign, and fresh ones that never repeat."""
     rng = np.random.default_rng(seed)
@@ -733,7 +727,7 @@ class TestBlockWriter:
             written = "".join(cli_module._matrix_pretty([matrix]))
             width = max(len(format_complex(v)) for v in matrix.ravel().tolist())
             expected = _per_cell(np.ravel(matrix), lambda v: format_complex(v).rjust(width), n, "  ", "\n")
-        _assert_same_text(written, expected)
+        assert_same_text(written, expected)
 
     @pytest.mark.parametrize("collide", [False, True], ids=["mixed_key", "colliding_key"])
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -754,7 +748,7 @@ class TestBlockWriter:
             expected = "re,im\n" + _per_cell(values.view(np.float64), cli_module._format_float, 2, ",", "\n")
         else:
             expected = _per_cell(values, format_complex, 1, "", "\n")
-        _assert_same_text(result.output, expected + "\n")
+        assert_same_text(result.output, expected + "\n")
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
@@ -772,7 +766,7 @@ class TestBlockWriter:
         texts, (index,) = cli_module._lane_table([values], "json")
         assert len(set(texts.tolist())) < len(texts)
         pairs = (json.dumps({"re": v.real + 0.0, "im": v.imag + 0.0}) for v in values.tolist())
-        _assert_same_text("\n".join(texts[index].tolist()), "\n".join(pairs))
+        assert_same_text("\n".join(texts[index].tolist()), "\n".join(pairs))
 
 
 def _per_cell_document(matrix, fmt, a, b, r):
@@ -824,7 +818,7 @@ class TestLaneWriter:
         assert result.exit_code == 0, result.stderr
         spec = MatrixSpec(n=n, a=parse_complex(a), b=parse_complex(b))
         expected = _per_cell_document(power_matrix(PowerRequest(spec=spec, r=r)), fmt, spec.a, spec.b, r)
-        _assert_same_text(re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', result.output), expected + "\n")
+        assert_same_text(re.sub(r'"elapsed_ns": \d+', '"elapsed_ns": 0', result.output), expected + "\n")
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_an_even_orders_rows_share_one_index(self, n):

@@ -2,7 +2,9 @@
 
 The documents under ``tests/golden/`` were recorded with the per-cell
 formatters that the distinct-value formatter replaced, so any change to the
-printed bytes fails here. ``elapsed_ns`` is scrubbed as in
+printed bytes fails here; the ``oracle_*`` documents were recorded before the
+dense oracle built its blocks from A's band entries instead of an n x n copy of
+A. A failure names the first difference only. ``elapsed_ns`` is scrubbed as in
 ``test_cli.py::test_deterministic_output``. Re-record only for a deliberate
 change of the output contract: ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import assert_same_text
 
 from pentapower import MatrixSpec
 from pentapower.cli import _matrix_csv, _matrix_json, _matrix_pretty, cli
@@ -31,12 +34,19 @@ _POWER = {
     "n257_r300": ["--n", "257", "--r", "300", "--a", "0.5", "--b", "0.5i"],
 }
 _PRETTY = ("n6_r6", "n7_r7")
+# the dense oracle's own bytes: one-element blocks (n = 3), an odd order, an even one, and n % 4 != 0 in CSV
+_ORACLE = {(3, 7): "json", (7, 7): "json", (66, 30): "json", (67, 30): "csv"}
 
 CASES = {
     **{
         f"power_{name}_{fmt}": ["power", *args, "--format", fmt]
         for name, args in _POWER.items()
         for fmt in ("json", "csv", *(("pretty",) if name in _PRETTY else ()))
+    },
+    **{
+        f"oracle_n{n}_r{r}_{fmt}": ["power", "--n", str(n), "--r", str(r), "--a", "2", "--b", "1+1i",
+                                    "--route", "oracle", "--format", fmt]
+        for (n, r), fmt in _ORACLE.items()
     },
     **{
         f"eig_n{n}_{fmt}": ["eig", "--n", str(n), "--a", "2", "--b", "1+1i", "--format", fmt]
@@ -82,12 +92,12 @@ def _golden(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    assert _cli_output(CASES[name]) == _golden(name)
+    assert_same_text(_cli_output(CASES[name]), _golden(name))
 
 
 @pytest.mark.parametrize("name", ["edge_json", "edge_csv", "edge_pretty"])
 def test_formatter_matches_golden_on_edge_values(name):
-    assert _edge_outputs()[name] == _golden(name)
+    assert_same_text(_edge_outputs()[name], _golden(name))
 
 
 def test_module_entry_point_matches_golden():
@@ -101,7 +111,7 @@ def test_module_entry_point_matches_golden():
 
     done = run(*_POWER["n6_r6"])
     assert done.returncode == 0, done.stderr
-    assert _scrub(done.stdout) == _golden("power_n6_r6_json")
+    assert_same_text(_scrub(done.stdout), _golden("power_n6_r6_json"))
     refused = run("--n", "2", "--r", "1")
     assert refused.returncode == 3
     assert refused.stdout == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,17 @@ class TestNaivePower:
             shapes.clear()
             naive_power(MatrixSpec(n=n, a=2, b=1 + 1j), 64)
             assert shapes == [((q, q), (q, q))] * calls, n
+
+    def test_holds_its_blocks_beside_the_result(self):
+        # no n x n input: the result, then an odd order's four distinct blocks (1/16 of it each) in the
+        # base, a product's left factor and its output, about 1.76 in all; an n x n copy of A reads 2.5
+        tracemalloc.start()
+        try:
+            result = naive_power(MatrixSpec(n=1023, a=2, b=1 + 1j), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * result.nbytes
 
     def test_rejects_a_non_integer_exponent(self):
         spec = MatrixSpec(n=8, a=2, b=1 + 1j)
