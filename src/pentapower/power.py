@@ -10,12 +10,12 @@ down (worth b), so entry (p, q), 0-based, of the lane's r-th power is
 
 where the reflection principle (Feller, Vol. 1, walks between two
 absorbing barriers) gives the path count W_r through C[d], the number of
-walks from 0 to d on a cycle of 2(m + 1) vertices. power_matrix fills each
-lane from O(m) numbers, Toeplitz weights times (Toeplitz minus Hankel)
-counts, with no square root and no branch choice, in row blocks that
-_by_lanes writes to every lane of its size in one pass, one block per
-thread at a time, on every usable CPU once a lane spans more than two
-blocks. C comes from:
+walks from 0 to d on a cycle of 2(m + 1) vertices. power_matrix and
+power_lanes fill each lane from O(m) numbers, Toeplitz weights times
+(Toeplitz minus Hankel) counts, with no square root and no branch choice,
+in row blocks that _by_lanes writes to every lane of its size in one pass,
+in the n x n matrix or alone, one block per thread at a time, on every
+usable CPU once a lane spans more than two blocks. C comes from:
 
 * r < m*m/8: the binomial row folded mod 2(m + 1), in float log space, O(r);
 * r >= m*m/8: the path-graph modes, (1/(m+1)) * sum_k mu_k cos(k*pi*d/(m+1))
@@ -62,7 +62,6 @@ from .spectrum import (
     _int_powers,
     _lane_size,
     _lane_tables,
-    _lanes,
 )
 
 __all__ = [
@@ -155,7 +154,9 @@ def _diagonal_weights(m: int, a: complex, b: complex, r: int) -> tuple[np.ndarra
 
 
 def _walk_lane(m: int, spec: MatrixSpec, r: int):
-    """rows(s): the rows s of a size-m lane's r-th power, r >= 1, in a new array (calls may overlap)."""
+    """rows(s): the rows s of a size-m lane's r-th power, in a new array for r >= 1 (calls may overlap)."""
+    if r == 0:
+        return np.eye(m, dtype=complex).__getitem__
     if m == 1:
         return lambda s: np.zeros((1, 1), dtype=complex)  # a single vertex has no walk of length >= 1
     counts, e_counts = _walk_counts(m, r)
@@ -249,16 +250,12 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     the double range round to 0. branch_flip has no effect: no square root
     is taken.
     """
-    spec = req.spec
-    if req.r == 0:
-        return np.eye(spec.n, dtype=complex)
-    return _by_lanes(spec.n, lambda m: _walk_lane(m, spec, req.r))
+    return _by_lanes(req.spec.n, lambda m: _walk_lane(m, req.spec, req.r))
 
 
 def power_lanes(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
     """power_matrix's lanes 0 and 1, rows and columns 1, 3, ... and 2, 4, ..., with its refusals; 0 elsewhere."""
-    spec, r = req.spec, req.r
-    return _lanes(spec.n, lambda m: np.eye(m, dtype=complex).__getitem__ if r == 0 else _walk_lane(m, spec, r))
+    return _by_lanes(req.spec.n, lambda m: _walk_lane(m, req.spec, req.r), matrix=False)
 
 
 def power_via_spectral(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
@@ -266,4 +263,4 @@ def power_via_spectral(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
     if req.r == 0:
         return power_lanes(req)  # the identity's lanes
     derived = DerivedScalars.from_spec(req.spec, branch_flip=req.branch_flip)
-    return _lanes(req.spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__)
+    return _by_lanes(req.spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__, matrix=False)

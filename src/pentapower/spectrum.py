@@ -3,8 +3,8 @@
 The matrices treated here have a single constant band at offset +2 (value a)
 and one at offset -2 (value b); everything else, including the main
 diagonal, is zero. Entries at odd and even index positions never mix, so
-each matrix splits into two interleaved "lanes" and every n x n object is
-assembled lane by lane, in row blocks, by _by_lanes.
+each matrix splits into two interleaved "lanes", and every n x n object or
+pair of lanes is assembled lane by lane, in row blocks, by _by_lanes.
 
 All eigenvalues have the form 2*sqrt(ab)*cos(angle) where the angles are
 fixed rational multiples of pi. The normalised nodes cos(angle) are real
@@ -153,10 +153,11 @@ def _fill(tasks, errors: list) -> None:
         errors.append(exc)
 
 
-def _by_lanes(n: int, lane) -> np.ndarray:
-    """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call.
+def _by_lanes(n: int, lane, *, matrix: bool = True) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Zero n x n matrix whose size-m lanes take each block s of rows = lane(m) from one rows(s) call,
+    or with matrix=False its lanes 0 and 1 alone, new m x m arrays (an even order's are one array).
 
-    Every lane(m) is called in the calling thread, lane 0's first, before the matrix is
+    Every lane(m) is called in the calling thread, lane 0's first, before the result is
     allocated and any block filled, so a refusal leaves nothing to undo. Where a lane spans
     more than two blocks, the blocks, their rows divided by the thread count, are shared
     between min(usable CPUs, its blocks) threads, the calling one included, each under a copy
@@ -166,13 +167,14 @@ def _by_lanes(n: int, lane) -> np.ndarray:
     """
     sizes = [_lane_size(n, idx) for idx in (0, 1)]
     plans = {m: lane(m) for m in dict.fromkeys(sizes)}  # an even order's lanes share one plan
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=complex) if matrix else {m: np.empty((m, m), dtype=complex) for m in plans}
     # a second thread repays its start-up only once the larger lane, filled alone, takes over two blocks
     blocks = max(-(-m // _block_rows(m)) for m in plans)
     workers = min(_usable_cpus(), blocks) if blocks > 2 else 1
     tasks = []
     for m, rows in plans.items():
-        step, targets = _block_rows(m, workers), [out[idx::2, idx::2] for idx in (0, 1) if sizes[idx] == m]
+        step = _block_rows(m, workers)
+        targets = [out[idx::2, idx::2] for idx in (0, 1) if sizes[idx] == m] if matrix else [out[m]]
         tasks += [(rows, slice(start, min(start + step, m)), targets) for start in range(0, m, step)]
     errors: list = []
     threads = [
@@ -188,14 +190,7 @@ def _by_lanes(n: int, lane) -> np.ndarray:
             thread.join()
     if errors:
         raise errors[0]
-    return out
-
-
-def _lanes(n: int, lane) -> tuple[np.ndarray, np.ndarray]:
-    """_by_lanes' lanes 0 and 1 alone, each one rows(slice(0, m)) call, after every lane(m); even n's are one array."""
-    plans = {m: lane(m) for m in dict.fromkeys(_lane_size(n, idx) for idx in (0, 1))}
-    filled = {m: rows(slice(0, m)) for m, rows in plans.items()}
-    return filled[_lane_size(n, 0)], filled[_lane_size(n, 1)]
+    return out if matrix else (out[sizes[0]], out[sizes[1]])
 
 
 def _lane_copies(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -788,11 +788,15 @@ def _per_cell_document(matrix, fmt, a, b, r):
 
 @pytest.fixture()
 def no_assembly(monkeypatch):
-    def assembled(n, lane):
-        raise AssertionError(f"an order-{n} matrix was assembled")
+    by_lanes = spectrum_module._by_lanes
 
-    monkeypatch.setattr(spectrum_module, "_by_lanes", assembled)
-    monkeypatch.setattr(power_module, "_by_lanes", assembled)
+    def lanes_only(n, lane, *, matrix=True):
+        if matrix:
+            raise AssertionError(f"an order-{n} matrix was assembled")
+        return by_lanes(n, lane, matrix=False)
+
+    monkeypatch.setattr(spectrum_module, "_by_lanes", lanes_only)
+    monkeypatch.setattr(power_module, "_by_lanes", lanes_only)
 
 
 class TestLaneWriter:

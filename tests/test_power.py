@@ -279,10 +279,10 @@ class TestPowerMatrix:
 
 
 class TestPowerLanes:
-    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 600, 601])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 600, 601, 1024, 1025])
     @pytest.mark.parametrize("r", [0, 1, 7, 301])
     def test_lanes_are_the_matrix_lanes_bit_for_bit(self, n, r):
-        # n = 3 has a size-1 lane; at 600 and 601 power_matrix fills its lanes in several row blocks
+        # n = 3 has a size-1 lane; from 600 both fill their lanes in several row blocks, from 1024 on every CPU
         request = _request(n, *EQUAL_MODULI, r)
         matrix, lanes = power_matrix(request), power_lanes(request)
         for p, lane in enumerate(lanes):
@@ -398,6 +398,14 @@ class TestSpectralRoute:
             power_via_spectral(_request(300, 1, 4, 20))
         with pytest.raises(FloatingPointError):
             power_entry(MatrixSpec(n=300, a=1, b=4), 20, 1, 41)
+
+    def test_the_rounding_bound_is_pinned_at_its_threshold(self):
+        # n = 80, a = 1, r = 20: the bound is 3.1e-10 of the largest entry at b = 2 and 9.3e-8 at b = 3
+        spectral, closed = power_via_spectral(_request(80, 1, 2, 20)), power_lanes(_request(80, 1, 2, 20))
+        for ours, theirs in zip(spectral, closed):
+            assert np.max(np.abs(ours - theirs)) <= 1e-9 * np.max(np.abs(theirs))
+        with pytest.raises(FloatingPointError, match=r"rounding bound .* \(\|b/a\| = 3\)"):
+            power_via_spectral(_request(80, 1, 3, 20))
 
     def test_overflowing_eigenvalue_powers_are_refused_without_a_warning(self):
         # the suite turns a RuntimeWarning into an error, so a leaked one fails before the refusal

@@ -22,6 +22,7 @@ from pentapower import (
     transform,
 )
 from pentapower.oracle import band_pairs
+from pentapower.power import power_lanes
 from pentapower.spectrum import _by_lanes, _eigenvalues, _even_nodes, _lane_size
 
 
@@ -220,10 +221,11 @@ class TestLaneAssembly:
         assert np.all(out[0::2, 0::2] == 3) and np.all(out[1::2, 1::2] == 3)
 
     def test_a_refused_lane_leaves_every_lane_unfilled(self):
-        calls = []
-        with pytest.raises(OverflowError, match="size 3"):
-            _by_lanes(7, self._recording(calls, refuse=3))
-        assert calls == [("plan", 4), ("plan", 3)]
+        for matrix in (True, False):
+            calls = []
+            with pytest.raises(OverflowError, match="size 3"):
+                _by_lanes(7, self._recording(calls, refuse=3), matrix=matrix)
+            assert calls == [("plan", 4), ("plan", 3)]
 
     @pytest.mark.parametrize("n", [513, 724])
     def test_two_blocks_are_filled_by_the_calling_thread(self, monkeypatch, n):
@@ -250,29 +252,35 @@ class TestLaneAssembly:
 
             return rows
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads hand over the interpreter as often as they can
-        try:
-            out = _by_lanes(n, lane)
-        finally:
-            sys.setswitchinterval(interval)
-        threads = {call[-1] for call in calls if call[0] == "rows"}
-        assert 1 < len(threads) <= workers
-        calls = [call[:-1] if call[0] == "rows" else call for call in calls]
-        sizes = sorted({_lane_size(n, 0), _lane_size(n, 1)}, reverse=True)
-        assert calls[: len(sizes)] == [("plan", m) for m in sizes]
-        assert all(call[0] == "rows" for call in calls[len(sizes) :])
-        for m in sizes:
-            blocks = sorted(call[2:] for call in calls if call[:2] == ("rows", m))
-            assert len(blocks) > 1
-            assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-            assert blocks[-1][1] == m
-            # the blocks that all threads hold at once add up to no more than one 2**16-entry block
-            assert max(stop - start for start, stop in blocks) * m * len(threads) <= 2**16
-        for idx in (0, 1):
-            m = _lane_size(n, idx)
-            assert np.array_equal(out[idx::2, idx::2], m + 1j * np.arange(m)[:, None] + np.zeros(m))
-        assert np.all(out[0::2, 1::2] == 0) and np.all(out[1::2, 0::2] == 0)
+        for matrix in (True, False):
+            calls.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # threads hand over the interpreter as often as they can
+            try:
+                out = _by_lanes(n, lane, matrix=matrix)
+            finally:
+                sys.setswitchinterval(interval)
+            threads = {call[-1] for call in calls if call[0] == "rows"}
+            assert 1 < len(threads) <= workers
+            steps = [call[:-1] if call[0] == "rows" else call for call in calls]
+            sizes = sorted({_lane_size(n, 0), _lane_size(n, 1)}, reverse=True)
+            assert steps[: len(sizes)] == [("plan", m) for m in sizes]
+            assert all(call[0] == "rows" for call in steps[len(sizes) :])
+            for m in sizes:
+                blocks = sorted(call[2:] for call in steps if call[:2] == ("rows", m))
+                assert len(blocks) > 1
+                assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+                assert blocks[-1][1] == m
+                # the blocks that all threads hold at once add up to no more than one 2**16-entry block
+                assert max(stop - start for start, stop in blocks) * m * len(threads) <= 2**16
+            lanes = [out[idx::2, idx::2] for idx in (0, 1)] if matrix else out
+            for idx in (0, 1):
+                m = _lane_size(n, idx)
+                assert np.array_equal(lanes[idx], m + 1j * np.arange(m)[:, None] + np.zeros(m))
+            if matrix:
+                assert np.all(out[0::2, 1::2] == 0) and np.all(out[1::2, 0::2] == 0)
+            else:
+                assert (out[0] is out[1]) == (n % 2 == 0)
 
     def test_an_error_in_a_worker_reaches_the_caller_after_every_join(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 4)
@@ -337,7 +345,9 @@ class TestLaneAssembly:
             spec = MatrixSpec(n=n, a=a, b=b)
             # the spectral route's lanes, one after the other
             spectral = lambda req: np.concatenate([lane.ravel() for lane in power_via_spectral(req)])
+            lanes = lambda req: np.concatenate([lane.ravel() for lane in power_lanes(req)])
             routes = [power_matrix, spectral] if n <= 1025 else [power_matrix]
+            routes += [lanes] if n >= 1024 else []
             calls += [lambda f=f, spec=spec, r=r: f(PowerRequest(spec=spec, r=r)) for f in routes for r in (1, 2, 10, 10**6)]
             if n <= 1025:
                 calls.append(lambda spec=spec: (lambda d: np.stack((d.transform, d.inverse_transform)))(transform(spec)))
