@@ -36,12 +36,10 @@ class VerificationReport:
     max_rel_deviation is max_abs_deviation over the largest reference modulus
     (0 or inf for an all-zero reference, which only an exact match passes);
     passed compares it with compare's rel_tol, and a non-finite modulus fails.
-    worst_index is 0-based (row, column).
     """
 
     max_abs_deviation: float
     max_rel_deviation: float
-    worst_index: tuple[int, int]
     passed: bool
 
 
@@ -184,14 +182,10 @@ def compare(candidate: np.ndarray, reference: np.ndarray, rel_tol: float) -> Ver
         raise ValueError(f"order mismatch: {candidate.shape} vs {reference.shape}")
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    deviation = np.abs(candidate - reference)
-    worst_flat = int(np.argmax(deviation))
-    worst_index = tuple(int(v) for v in np.unravel_index(worst_flat, deviation.shape))
-    max_abs = float(deviation[worst_index])
+    max_abs = float(np.max(np.abs(candidate - reference)))
     scale = float(np.max(np.abs(reference)))
     return VerificationReport(
         max_abs_deviation=max_abs,
         max_rel_deviation=max_abs / scale if scale else (0.0 if max_abs == 0 else np.inf),
-        worst_index=worst_index,
         passed=bool(np.isfinite(scale) and max_abs <= rel_tol * scale),
     )

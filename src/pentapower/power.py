@@ -77,11 +77,10 @@ _MODES_FROM = 8
 
 @dataclass(frozen=True)
 class PowerRequest:
-    """A power computation: which matrix, which exponent, which root branch."""
+    """A power computation: which matrix and which exponent."""
 
     spec: MatrixSpec
     r: int
-    branch_flip: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "r", operator.index(self.r))
@@ -247,8 +246,7 @@ def power_matrix(req: PowerRequest) -> np.ndarray:
     essentially independent of r. Raises OverflowError, before filling any
     lane, when a lane's largest entry exceeds the double range, or when entries
     that matter lie too far apart for one shared exponent; entries below
-    the double range round to 0. branch_flip has no effect: no square root
-    is taken.
+    the double range round to 0.
     """
     return _by_lanes(req.spec.n, lambda m: _walk_lane(m, req.spec, req.r))
 
@@ -258,9 +256,10 @@ def power_lanes(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
     return _by_lanes(req.spec.n, lambda m: _walk_lane(m, req.spec, req.r), matrix=False)
 
 
-def power_via_spectral(req: PowerRequest) -> tuple[np.ndarray, np.ndarray]:
-    """Reference route: power_lanes' lanes, each from the node sum of its spectral decomposition."""
+def power_via_spectral(req: PowerRequest, *, branch_flip: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Reference route: power_lanes' lanes, each from the node sum of its spectral decomposition;
+    branch_flip negates sqrt(ab) and sqrt(b/a) together, the other coherent root branch."""
     if req.r == 0:
         return power_lanes(req)  # the identity's lanes
-    derived = DerivedScalars.from_spec(req.spec, branch_flip=req.branch_flip)
+    derived = DerivedScalars.from_spec(req.spec, branch_flip=branch_flip)
     return _by_lanes(req.spec.n, lambda m: _node_sum_lane(m, derived, req.r).__getitem__, matrix=False)

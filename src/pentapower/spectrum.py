@@ -53,10 +53,6 @@ class MatrixSpec:
             if value == 0:
                 raise ValueError(f"band value {name} must be nonzero")
 
-    @property
-    def is_even(self) -> bool:
-        return self.n % 2 == 0
-
 
 def _principal_sqrt(a: complex, b: complex) -> complex:
     """Square root of a*b with Re >= 0, and Im >= 0 when the real part vanishes; from
@@ -103,10 +99,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     transform: np.ndarray
     inverse_transform: np.ndarray
-
-    def __post_init__(self):
-        for array in (self.eigenvalues, self.transform, self.inverse_transform):
-            array.setflags(write=False)
 
 
 def _even_nodes(n: int) -> np.ndarray:

@@ -203,7 +203,7 @@ def test_criterion_6_determinant_identity_grid():
 
 def _spectral_cells(spec, r, branch_flip):
     """Every cell of the spectral route's lanes; all others are an exact 0."""
-    lanes = power_via_spectral(PowerRequest(spec=spec, r=r, branch_flip=branch_flip))
+    lanes = power_via_spectral(PowerRequest(spec=spec, r=r), branch_flip=branch_flip)
     return np.concatenate([lane.ravel() for lane in lanes])
 
 

@@ -20,7 +20,7 @@ from pentapower import cli as cli_module
 from pentapower import oracle as oracle_module
 from pentapower import power as power_module
 from pentapower import spectrum as spectrum_module
-from pentapower.cli import _matrix_json, cli, format_complex, parse_complex
+from pentapower.cli import cli, format_complex, parse_complex
 
 
 @pytest.fixture()
@@ -213,11 +213,6 @@ class TestPowerCommand:
         moduli = np.unique(np.abs(parts[parts != 0])).size  # 2,903 here, against 4,334 distinct parts
         assert len(result.output.splitlines()) == 258
         assert 0 < len(calls) <= moduli + 1
-
-    def test_json_refuses_nan(self):
-        spec = MatrixSpec(n=3, a=1, b=1)
-        with pytest.raises(ValueError):
-            _matrix_json([np.full((3, 3), np.nan, dtype=complex)], spec, 1, "closed_form", 0)
 
     @pytest.mark.parametrize("route", ["spectral", "oracle"])
     def test_reference_routes_refuse_non_finite(self, runner, route):

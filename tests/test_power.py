@@ -27,13 +27,13 @@ from pentapower.spectrum import _by_lanes, _even_nodes, _index_nodes as _odd_nod
 EQUAL_MODULI = (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j))
 
 
-def _request(n, a, b, r, flip=False):
-    return PowerRequest(spec=MatrixSpec(n=n, a=a, b=b), r=r, branch_flip=flip)
+def _request(n, a, b, r):
+    return PowerRequest(spec=MatrixSpec(n=n, a=a, b=b), r=r)
 
 
-def _spectral_matrix(req):
+def _spectral_matrix(req, branch_flip=False):
     """The n x n matrix of power_via_spectral's lanes."""
-    lanes = {lane.shape[0]: lane for lane in power_via_spectral(req)}
+    lanes = {lane.shape[0]: lane for lane in power_via_spectral(req, branch_flip=branch_flip)}
     return _by_lanes(req.spec.n, lambda m: lanes[m].__getitem__)
 
 
@@ -230,16 +230,6 @@ class TestPowerMatrix:
                 scale = max(1.0, np.max(np.abs(product)))
                 assert np.max(np.abs(combined - product)) <= 1e-8 * scale
 
-    def test_branch_flip_changes_nothing(self):
-        for n in (4, 5, 7, 8):
-            for a, b in band_pairs(count=3):
-                spec = MatrixSpec(n=n, a=a, b=b)
-                for r in (1, 3, 6):
-                    plain = power_matrix(PowerRequest(spec=spec, r=r))
-                    flipped = power_matrix(PowerRequest(spec=spec, r=r, branch_flip=True))
-                    scale = max(1.0, np.max(np.abs(plain)))
-                    assert np.max(np.abs(plain - flipped)) <= 1e-10 * scale
-
     def test_neighbouring_orders_share_a_lane(self):
         # orders 2k-1 (lane 0), 2k (both lanes) and 2k+1 (lane 1) all have
         # a size-k lane, which is the same tridiagonal matrix in each
@@ -356,7 +346,7 @@ class TestSpectralRoute:
                 for r in range(1, 11):
                     closed = power_matrix(_request(n, a, b, r))
                     plain = _spectral_matrix(_request(n, a, b, r))
-                    flipped = _spectral_matrix(_request(n, a, b, r, flip=True))
+                    flipped = _spectral_matrix(_request(n, a, b, r), branch_flip=True)
                     assert np.max(np.abs(plain - flipped)) <= 1e-10 * np.max(np.abs(closed))
 
     def test_entries_read_the_same_lane_sum(self):

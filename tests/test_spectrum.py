@@ -192,11 +192,6 @@ class TestTransforms:
         assert sim <= 1e-11
         assert inv <= 1e-11
 
-    def test_decomposition_arrays_are_frozen(self):
-        decomposition = transform(MatrixSpec(n=4, a=1, b=1))
-        with pytest.raises(ValueError):
-            decomposition.transform[0, 0] = 5
-
 
 class TestLaneAssembly:
     @staticmethod
