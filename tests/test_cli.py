@@ -246,6 +246,16 @@ class TestPowerCommand:
         assert result.stdout == ""
         assert "rounding bound" in result.stderr
 
+    def test_eigenvalue_powers_past_their_precision_exit_three(self, runner):
+        # the largest eigenvalue rounds to 1.0, 4e-17 below the true one: at r = 10**18 the route
+        # printed the r = 10**6 value, 1.8e-5 at entry (1, 1), for an exact 1.4e14
+        band = "0.5001483090555375"
+        args = ["power", "--route", "spectral", "--n", "256", "--r", str(10**18), "--a", band, "--b", band, "--format", "csv"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "rounding bound" in result.stderr
+
     def test_overflowing_node_sum_names_its_eigenvalue_powers(self, runner):
         # the closed form fits doubles here; only the node sum's (2 sqrt(ab) x_k)**r overflow
         result = runner.invoke(cli, ["power", "--route", "spectral", "--n", "128", "--r", "1026"])

@@ -25,6 +25,8 @@ from pentapower.spectrum import _by_lanes, _even_nodes, _index_nodes as _odd_nod
 
 # |a| = |b|: the node sum resolves large orders
 EQUAL_MODULI = (1.25 * cmath.exp(0.4j), 1.25 * cmath.exp(-1.1j))
+# a = b at n = 256: the largest eigenvalue, 2*a*cos(pi/129), rounds to 1.0, so its powers stay in range
+REACH_BAND = 0.5001483090555375
 
 
 def _request(n, a, b, r):
@@ -390,12 +392,25 @@ class TestSpectralRoute:
             power_entry(MatrixSpec(n=300, a=1, b=4), 20, 1, 41)
 
     def test_the_rounding_bound_is_pinned_at_its_threshold(self):
-        # n = 80, a = 1, r = 20: the bound is 3.1e-10 of the largest entry at b = 2 and 9.3e-8 at b = 3
+        # n = 80, a = 1, r = 20: the bound is 7.8e-10 of the largest entry at b = 2 and 2.3e-7 at b = 3
         spectral, closed = power_via_spectral(_request(80, 1, 2, 20)), power_lanes(_request(80, 1, 2, 20))
         for ours, theirs in zip(spectral, closed):
             assert np.max(np.abs(ours - theirs)) <= 1e-9 * np.max(np.abs(theirs))
         with pytest.raises(FloatingPointError, match=r"rounding bound .* \(\|b/a\| = 3\)"):
             power_via_spectral(_request(80, 1, 3, 20))
+
+    def test_eigenvalue_powers_past_their_precision_are_refused(self):
+        # 2*sqrt(ab)*x_1 rounds to 1.0, 4e-17 below its true value, whose 10**18-th power is about e**44
+        with pytest.raises(FloatingPointError, match="rounding bound"):
+            power_entry(MatrixSpec(n=256, a=REACH_BAND, b=REACH_BAND), 10**18, 1, 1)
+
+    def test_the_power_bound_is_pinned_at_its_threshold(self):
+        # (m + 3r) * eps reaches 1e-8 of the largest entry between r = 15,011,956 and 15,011,957 here
+        answered = power_via_spectral(_request(256, REACH_BAND, REACH_BAND, 15_000_000))
+        closed = power_lanes(_request(256, REACH_BAND, REACH_BAND, 15_000_000))
+        assert np.max(np.abs(answered[0] - closed[0])) <= 1e-8 * np.max(np.abs(closed[0]))
+        with pytest.raises(FloatingPointError, match="rounding bound"):
+            power_via_spectral(_request(256, REACH_BAND, REACH_BAND, 15_030_000))
 
     def test_overflowing_eigenvalue_powers_are_refused_without_a_warning(self):
         # the suite turns a RuntimeWarning into an error, so a leaked one fails before the refusal
