@@ -582,6 +582,13 @@ class TestBenchCommand:
             assert int(fields[3]) > 0
             assert float(fields[4]) <= 1e-8
 
+    @pytest.mark.parametrize("timings,median", [([7, 1, 4], 4), ([10, 40, 20, 30], 25)])
+    def test_median_of_the_repeats(self, runner, monkeypatch, timings, median):
+        monkeypatch.setattr(cli_module, "_interleaved_ns", lambda calls, repeats: [timings for _ in calls])
+        result = runner.invoke(cli, ["bench", "--n", "8", "--r", "5", "--repeats", str(len(timings))])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1].split(",")[3] == str(median)
+
     def test_overflow_exits_three(self, runner):
         result = runner.invoke(cli, ["bench", "--n", "8", "--r", "2000", "--repeats", "3"])
         assert result.exit_code == 3

@@ -403,6 +403,8 @@ class TestSpectralRoute:
         # 2*sqrt(ab)*x_1 rounds to 1.0, 4e-17 below its true value, whose 10**18-th power is about e**44
         with pytest.raises(FloatingPointError, match="rounding bound"):
             power_entry(MatrixSpec(n=256, a=REACH_BAND, b=REACH_BAND), 10**18, 1, 1)
+        # a sum whose every term underflows is an exact 0 at any r, past the double range too
+        assert not np.any(power_via_spectral(_request(8, 0.5, 0.5, 10**400))[0])
 
     def test_the_power_bound_is_pinned_at_its_threshold(self):
         # (m + 3r) * eps reaches 1e-8 of the largest entry between r = 15,011,956 and 15,011,957 here
