@@ -38,9 +38,10 @@ with w_k = 2*(1 - x_k**2)/(m+1), over the first m // 2 nodes, each doubled
 or cancelled with its negative by the parity of r + p + q. Its rounding
 error grows like |b/a|**(m/2) (Reichel & Trefethen, LAA 1992), and that of
 an eigenvalue power like r: where (m + 3r) * eps times the sum of the terms'
-moduli exceeds 1e-8 of the lane's largest entry, it raises FloatingPointError; where the lane itself leaves
-the double range, OverflowError. An odd lane's zero middle node is
-dropped, so r = 0 is short-circuited to the identity.
+moduli exceeds 1e-8 of the lane's largest entry, it raises
+FloatingPointError; where the lane itself leaves the double range,
+OverflowError. An odd lane's zero middle node is dropped, so r = 0 is
+short-circuited to the identity.
 """
 
 from __future__ import annotations
